@@ -8,7 +8,6 @@ Usage::
     python -m repro run    --backend thread --workers 4
     python -m repro run    --partition dirichlet --set data.dirichlet_alpha=0.1
     python -m repro run    --sampler availability --set scenario.dropout=0.2
-    python -m repro run    --runtime numpy --set compute.fusion=false
     python -m repro run    --round-policy async-buffer --set systems.jitter=0.1
     python -m repro run    --set scenario.fleet=hierarchical --set scenario.regions=16 \\
                            --set scenario.region_uplink_bytes_per_second=5e6
@@ -85,10 +84,8 @@ from .experiments import (
     smoke_spec,
     table1_spec,
 )
-from .engine import available_runtimes, runtime_specs
 from .experiments.sweep import SWEEP_EXECUTORS
 from .federated import (
-    ComputeConfig,
     Federation,
     FederationConfig,
     ProgressLogger,
@@ -153,18 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="round budget in simulated seconds (implies "
             "--round-policy deadline)",
         )
-        p.add_argument(
-            "--runtime",
-            choices=("eager",) + available_runtimes(),
-            default=None,
-            help="tensor compute engine: 'eager' (the default historical "
-            "engine) or a lazy-engine runtime from the registry",
-        )
 
     list_cmd = sub.add_parser(
         "list",
         help="show registered algorithms, datasets, partitioners, "
-        "samplers, runtimes and presets",
+        "samplers and presets",
     )
     list_cmd.set_defaults(func=_cmd_list)
 
@@ -206,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="SECTION.FIELD=VALUE",
         help="override any config field, including the nested data.*, "
-        "scenario.*, systems.* and compute.* sections "
+        "scenario.* and systems.* sections "
         "(e.g. --set data.dirichlet_alpha=0.1 --set scenario.dropout=0.2 "
         "--set scenario.fleet=hierarchical --set scenario.regions=16 "
         "--set systems.round_policy=async-buffer --set systems.jitter=0.1 "
@@ -386,9 +376,6 @@ def _cmd_list(args) -> int:
     print("round-policies:")
     for spec in round_policy_specs():
         print(f"  {spec.name:18s} {spec.summary}")
-    print("runtimes:")
-    for spec in runtime_specs():
-        print(f"  {spec.name:18s} {spec.summary}")
     print("presets:")
     for preset in PRESETS.values():
         print(
@@ -423,9 +410,6 @@ def _resolve_run_config(args) -> FederationConfig:
     systems = _systems_from_flags(args, config.systems)
     if systems is not None:
         overrides["systems"] = systems
-    compute = _compute_from_flags(args, config.compute)
-    if compute is not None:
-        overrides["compute"] = compute
     if overrides:
         config = replace(config, **overrides)
     for assignment in getattr(args, "set_overrides", []):
@@ -457,22 +441,6 @@ def _systems_from_flags(args, current: SystemsConfig | None) -> SystemsConfig | 
         # e.g. --round-policy deadline without --deadline: surface the
         # config validation message as a clean CLI error.
         raise SystemExit(f"--round-policy/--deadline: {error}") from None
-
-
-def _compute_from_flags(args, current: ComputeConfig) -> ComputeConfig | None:
-    """Fold ``--runtime`` into a ``compute`` section.
-
-    ``--runtime eager`` forces the historical eager engine (even on a
-    config whose ``compute`` section selects lazy); any other runtime name
-    selects the lazy engine realizing through that backend.  Returns None
-    when the flag was not given.
-    """
-    runtime = getattr(args, "runtime", None)
-    if runtime is None:
-        return None
-    if runtime == "eager":
-        return replace(current, engine="eager")
-    return replace(current, engine="lazy", runtime=runtime)
 
 
 def _apply_set_override(config: FederationConfig, assignment: str) -> FederationConfig:
@@ -517,12 +485,6 @@ def _cmd_run(args) -> int:
     callbacks = [ProgressLogger()] if args.progress else None
     history = Federation.from_config(config).run(callbacks=callbacks)
     print(f"{config.algorithm} on {config.dataset} ({config.num_clients} clients):")
-    if config.compute.engine != "eager":
-        fusion = "on" if config.compute.fusion else "off"
-        print(
-            f"  compute engine: {config.compute.engine} "
-            f"(runtime={config.compute.runtime}, fusion={fusion})"
-        )
     print(f"  final personalized accuracy: {history.final_accuracy:.4f}")
     print(f"  total communication: {history.total_communication_gb:.4f} GB")
     if history.total_simulated_seconds is not None:
@@ -593,9 +555,6 @@ def _cmd_sweep(args) -> int:
     systems = _systems_from_flags(args, base.get("systems"))
     if systems is not None:
         base["systems"] = systems
-    compute = _compute_from_flags(args, base.get("compute") or ComputeConfig())
-    if compute is not None:
-        base["compute"] = compute
     spec.base = base
     if args.partition is not None:
         pinned = [

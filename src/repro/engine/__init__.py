@@ -1,80 +1,11 @@
-"""Lazy compute engine: op-graph recording, fusion, pluggable runtimes.
+"""The kernel table behind the tensor layer.
 
-The tensor layer (:mod:`repro.tensor`) records every primitive through
-this package.  In the default **eager** mode each op's reference kernel
-runs immediately — the historical engine, bit for bit.  Under a **lazy**
-:class:`ComputeConfig` (``compute: {engine: lazy}`` in a run config, or
-``--runtime`` on the CLI), ops build a :class:`LazyBuffer` graph instead;
-the scheduler linearizes it at ``realize()`` points (``.data`` access,
-``backward()``, ``.item()``), fuses elementwise chains, folds movement
-ops into their consumers, and dispatches kernels through the
-``@register_runtime`` backend registry (``numpy`` reference kernels by
-default; a ``torch`` runtime auto-registers when torch is importable).
+:mod:`repro.engine.ops` declares every primitive :mod:`repro.tensor`
+executes as an :class:`OpSpec` with its numpy kernel, and
+:func:`run_kernel` is the single point every forward op dispatches
+through.
 """
 
-from .config import ComputeConfig
-from .lazy import MOVEMENT_OPS, STATS, KernelStats, LazyBuffer, wrap
-from .ops import (
-    CONTRACT,
-    ELEMENTWISE,
-    MOVEMENT,
-    OPS,
-    OTHER,
-    REDUCE,
-    OpSpec,
-    col2im,
-    im2col,
-    infer_shape,
-    run_kernel,
-)
-from .runtime import (
-    NumpyRuntime,
-    Runtime,
-    RuntimeSpec,
-    active_runtime,
-    available_runtimes,
-    compute_scope,
-    fusion_enabled,
-    get_runtime,
-    get_runtime_spec,
-    register_runtime,
-    runtime_specs,
-    set_compute,
-    unregister_runtime,
-)
-from .schedule import realize_buffer
-from . import runtime_torch  # noqa: F401  (auto-registers torch when importable)
+from .ops import OPS, OpSpec, col2im, im2col, run_kernel
 
-__all__ = [
-    "ComputeConfig",
-    "KernelStats",
-    "LazyBuffer",
-    "MOVEMENT_OPS",
-    "NumpyRuntime",
-    "OPS",
-    "OpSpec",
-    "Runtime",
-    "RuntimeSpec",
-    "STATS",
-    "active_runtime",
-    "available_runtimes",
-    "col2im",
-    "compute_scope",
-    "fusion_enabled",
-    "get_runtime",
-    "get_runtime_spec",
-    "im2col",
-    "infer_shape",
-    "realize_buffer",
-    "register_runtime",
-    "run_kernel",
-    "runtime_specs",
-    "set_compute",
-    "unregister_runtime",
-    "wrap",
-    "ELEMENTWISE",
-    "REDUCE",
-    "CONTRACT",
-    "MOVEMENT",
-    "OTHER",
-]
+__all__ = ["OPS", "OpSpec", "col2im", "im2col", "run_kernel"]

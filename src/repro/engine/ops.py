@@ -1,15 +1,11 @@
-"""The op vocabulary of the compute engine and its numpy reference kernels.
+"""The kernel table: every tensor primitive and its numpy kernel.
 
-Every primitive the tensor layer can record is declared here as an
-:class:`OpSpec`: a kind (elementwise / reduce / contract / movement /
-other), the reference numpy kernel, a shape-inference rule, and whether
-the kernel produces *saved* intermediates that the autograd layer's
-backward closures consume (e.g. the im2col columns of a convolution).
-
-The reference kernels are the exact expressions the historical eager
-engine inlined, so eager and lazy realization are bit-identical; pluggable
-runtimes (:mod:`repro.engine.runtime`) may override any non-saving op and
-fall back to these kernels for the rest.
+Each primitive the tensor layer executes is declared here as an
+:class:`OpSpec`: its numpy kernel, and whether the kernel also returns
+*saved* intermediates that the autograd layer's backward closures consume
+(e.g. the im2col columns of a convolution).  :func:`run_kernel` is the
+single dispatch point: every forward op of :mod:`repro.tensor` passes
+through it exactly once, which is where per-op timing hooks attach.
 """
 
 from __future__ import annotations
@@ -19,36 +15,28 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-ELEMENTWISE = "elementwise"
-REDUCE = "reduce"
-CONTRACT = "contract"
-MOVEMENT = "movement"
-OTHER = "other"
-
 
 @dataclass(frozen=True)
 class OpSpec:
-    """Declaration of one engine primitive."""
+    """Declaration of one tensor primitive."""
 
     name: str
-    kind: str
     kernel: Callable  # kernel(attrs, *arrays) -> value (or (value, saved))
-    shape: Callable  # shape(attrs, *src_shapes) -> output shape
     saves: bool = False  # kernel returns (value, saved-intermediates dict)
 
 
-#: name -> OpSpec registry of every primitive the tensor layer records.
+#: name -> OpSpec table of every primitive the tensor layer executes.
 OPS: Dict[str, OpSpec] = {}
 
 
-def _register(name, kind, kernel, shape, saves=False) -> None:
-    OPS[name] = OpSpec(name, kind, kernel, shape, saves)
+def _register(name, kernel, saves=False) -> None:
+    OPS[name] = OpSpec(name, kernel, saves)
 
 
 def run_kernel(
     op: str, attrs: Optional[Dict[str, Any]], arrays
 ) -> Tuple[np.ndarray, Optional[Dict[str, Any]]]:
-    """Execute ``op``'s reference kernel; returns ``(value, saved-or-None)``."""
+    """Execute ``op``'s kernel; returns ``(value, saved-or-None)``."""
     spec = OPS[op]
     out = spec.kernel(attrs or {}, *arrays)
     if spec.saves:
@@ -56,145 +44,43 @@ def run_kernel(
     return out, None
 
 
-def infer_shape(op: str, attrs: Optional[Dict[str, Any]], shapes) -> Tuple[int, ...]:
-    """Output shape of ``op`` from its source shapes, without computing."""
-    return tuple(OPS[op].shape(attrs or {}, *shapes))
-
-
 # ----------------------------------------------------------------------
-# Shape-inference rules
+# Elementwise kernels
 # ----------------------------------------------------------------------
-def _broadcast(attrs, *shapes):
-    return np.broadcast_shapes(*shapes)
-
-
-def _same(attrs, shape):
-    return shape
-
-
-def reduce_shape(shape, axis, keepdims: bool) -> Tuple[int, ...]:
-    """Shape of a numpy reduction over ``axis`` of ``shape``."""
-    if axis is None:
-        return tuple(1 for _ in shape) if keepdims else ()
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    normalized = {a % len(shape) for a in axes}
-    if keepdims:
-        return tuple(1 if i in normalized else dim for i, dim in enumerate(shape))
-    return tuple(dim for i, dim in enumerate(shape) if i not in normalized)
-
-
-def _reduce(attrs, shape):
-    return reduce_shape(shape, attrs.get("axis"), attrs.get("keepdims", False))
-
-
-def matmul_shape(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Shape of ``a @ b`` under numpy matmul rules (1-D promotion included)."""
-    if len(a) == 1 and len(b) == 1:
-        return ()
-    if len(a) == 1:
-        return tuple(b[:-2]) + (b[-1],)
-    if len(b) == 1:
-        return tuple(a[:-1])
-    batch = np.broadcast_shapes(a[:-2], b[:-2])
-    return tuple(batch) + (a[-2], b[-1])
-
-
-def _matmul(attrs, a, b):
-    return matmul_shape(a, b)
-
-
-def _attr_shape(attrs, *shapes):
-    return attrs["out_shape"]
-
-
-def _getitem_shape(attrs, shape):
-    # Index semantics (basic/advanced/boolean) are numpy's; probe them on a
-    # 1-byte-per-element dummy instead of reimplementing the rules.
-    return np.empty(shape, dtype=np.int8)[attrs["index"]].shape
-
-
-def _pad2d_shape(attrs, shape):
-    padding = attrs["padding"]
-    return tuple(shape[:-2]) + (shape[-2] + 2 * padding, shape[-1] + 2 * padding)
-
-
-def _concat_shape(attrs, *shapes):
-    axis = attrs.get("axis", 0)
-    out = list(shapes[0])
-    out[axis] = sum(shape[axis] for shape in shapes)
-    return tuple(out)
-
-
-def _stack_shape(attrs, *shapes):
-    axis = attrs.get("axis", 0) % (len(shapes[0]) + 1)
-    out = list(shapes[0])
-    out.insert(axis, len(shapes))
-    return tuple(out)
-
-
-# ----------------------------------------------------------------------
-# Elementwise kernels (the historical eager expressions, verbatim)
-# ----------------------------------------------------------------------
-_register("add", ELEMENTWISE, lambda attrs, a, b: a + b, _broadcast)
-_register("mul", ELEMENTWISE, lambda attrs, a, b: a * b, _broadcast)
-_register("div", ELEMENTWISE, lambda attrs, a, b: a / b, _broadcast)
-_register("neg", ELEMENTWISE, lambda attrs, a: -a, _same)
-_register("pow", ELEMENTWISE, lambda attrs, a: a ** attrs["exponent"], _same)
-_register("exp", ELEMENTWISE, lambda attrs, a: np.exp(a), _same)
-_register("log", ELEMENTWISE, lambda attrs, a: np.log(a), _same)
-_register("tanh", ELEMENTWISE, lambda attrs, a: np.tanh(a), _same)
-_register("sigmoid", ELEMENTWISE, lambda attrs, a: 1.0 / (1.0 + np.exp(-a)), _same)
-_register("relu", ELEMENTWISE, lambda attrs, a: a * (a > 0), _same)
-_register("abs", ELEMENTWISE, lambda attrs, a: np.abs(a), _same)
+_register("add", lambda attrs, a, b: a + b)
+_register("mul", lambda attrs, a, b: a * b)
+_register("div", lambda attrs, a, b: a / b)
+_register("neg", lambda attrs, a: -a)
+_register("pow", lambda attrs, a: a ** attrs["exponent"])
+_register("exp", lambda attrs, a: np.exp(a))
+_register("log", lambda attrs, a: np.log(a))
+_register("tanh", lambda attrs, a: np.tanh(a))
+_register("sigmoid", lambda attrs, a: 1.0 / (1.0 + np.exp(-a)))
+_register("relu", lambda attrs, a: a * (a > 0))
+_register("abs", lambda attrs, a: np.abs(a))
 
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
 _register(
     "sum",
-    REDUCE,
     lambda attrs, a: a.sum(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
-    _reduce,
 )
 _register(
     "max",
-    REDUCE,
     lambda attrs, a: a.max(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
-    _reduce,
 )
 
 # ----------------------------------------------------------------------
-# Movement ops (realized as views folded into consumers, never kernels)
+# Movement (numpy views)
 # ----------------------------------------------------------------------
-_register(
-    "reshape",
-    MOVEMENT,
-    lambda attrs, a: a.reshape(attrs["shape"]),
-    lambda attrs, shape: tuple(attrs["shape"]),
-)
-_register(
-    "transpose",
-    MOVEMENT,
-    lambda attrs, a: a.transpose(attrs["axes"]),
-    lambda attrs, shape: tuple(shape[a] for a in attrs["axes"]),
-)
-_register(
-    "expand",
-    MOVEMENT,
-    lambda attrs, a: np.broadcast_to(a, attrs["shape"]),
-    lambda attrs, shape: tuple(attrs["shape"]),
-)
-
-
-def movement_apply(op: str, attrs: Dict[str, Any], array: np.ndarray) -> np.ndarray:
-    """Apply a movement op as a (cheap, usually zero-copy) numpy view."""
-    return OPS[op].kernel(attrs, array)
-
+_register("reshape", lambda attrs, a: a.reshape(attrs["shape"]))
+_register("transpose", lambda attrs, a: a.transpose(attrs["axes"]))
 
 # ----------------------------------------------------------------------
 # Contractions
 # ----------------------------------------------------------------------
-_register("matmul", CONTRACT, lambda attrs, a, b: a @ b, _matmul)
+_register("matmul", lambda attrs, a, b: a @ b)
 
 
 def im2col(
@@ -252,7 +138,7 @@ def _conv2d_kernel(attrs, x, weight, bias=None):
     return result, {"cols": cols, "w2d": w2d, "padded_shape": padded.shape}
 
 
-_register("conv2d", CONTRACT, _conv2d_kernel, _attr_shape, saves=True)
+_register("conv2d", _conv2d_kernel, saves=True)
 
 
 def _max_pool2d_kernel(attrs, x):
@@ -272,7 +158,7 @@ def _max_pool2d_kernel(attrs, x):
     return value, {"argmax": argmax}
 
 
-_register("max_pool2d", CONTRACT, _max_pool2d_kernel, _attr_shape, saves=True)
+_register("max_pool2d", _max_pool2d_kernel, saves=True)
 
 
 def _log_softmax_kernel(attrs, x):
@@ -283,7 +169,7 @@ def _log_softmax_kernel(attrs, x):
     return value, {"softmax": np.exp(value)}
 
 
-_register("log_softmax", CONTRACT, _log_softmax_kernel, _same, saves=True)
+_register("log_softmax", _log_softmax_kernel, saves=True)
 
 
 def _nll_loss_kernel(attrs, log_probs):
@@ -292,12 +178,12 @@ def _nll_loss_kernel(attrs, log_probs):
     return np.asarray(-picked.mean())
 
 
-_register("nll_loss", OTHER, _nll_loss_kernel, lambda attrs, shape: ())
+_register("nll_loss", _nll_loss_kernel)
 
 # ----------------------------------------------------------------------
 # Indexing / padding / joining
 # ----------------------------------------------------------------------
-_register("getitem", OTHER, lambda attrs, a: a[attrs["index"]], _getitem_shape)
+_register("getitem", lambda attrs, a: a[attrs["index"]])
 
 
 def _pad2d_kernel(attrs, a):
@@ -306,16 +192,8 @@ def _pad2d_kernel(attrs, a):
     return np.pad(a, pad_width)
 
 
-_register("pad2d", OTHER, _pad2d_kernel, _pad2d_shape)
+_register("pad2d", _pad2d_kernel)
 _register(
-    "concat",
-    OTHER,
-    lambda attrs, *arrays: np.concatenate(arrays, axis=attrs.get("axis", 0)),
-    _concat_shape,
+    "concat", lambda attrs, *arrays: np.concatenate(arrays, axis=attrs.get("axis", 0))
 )
-_register(
-    "stack",
-    OTHER,
-    lambda attrs, *arrays: np.stack(arrays, axis=attrs.get("axis", 0)),
-    _stack_shape,
-)
+_register("stack", lambda attrs, *arrays: np.stack(arrays, axis=attrs.get("axis", 0)))

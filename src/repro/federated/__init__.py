@@ -97,7 +97,6 @@ from .scenario import (
     unregister_sampler,
 )
 from ..data.partition import DataConfig
-from ..engine import ComputeConfig
 from .trainers import (
     FedAvg,
     FedMTL,
@@ -177,7 +176,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Federation",
-    "ComputeConfig",
     "FederationConfig",
     "ClientTask",
     "ClientUpdate",

@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, List, Mapping
 
 from ..data import DataConfig, build_client_data, load_dataset
 from ..data.registry import get_dataset, get_partitioner
-from ..engine import ComputeConfig
 from ..models import create_model
 from ..pruning import StructuredConfig, UnstructuredConfig
 from ..systems import FleetSimulator, SystemsConfig, build_round_policy
@@ -69,7 +68,6 @@ _SECTION_TYPES = {
     "data": DataConfig,
     "scenario": ScenarioConfig,
     "systems": SystemsConfig,
-    "compute": ComputeConfig,
     "compression": CompressionConfig,
 }
 
@@ -161,7 +159,6 @@ class FederationConfig:
     data: DataConfig = field(default_factory=DataConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     systems: SystemsConfig | None = None  # fleet simulation (None = disabled)
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
     local: LocalTrainConfig = field(default_factory=LocalTrainConfig)
     unstructured: UnstructuredConfig | None = None
     structured: StructuredConfig | None = None
@@ -212,8 +209,18 @@ class FederationConfig:
         Also accepts the historical flat schema (``n_train``,
         ``partition``, … at the top level, no ``data``/``scenario``
         sections), so stored PR-3-era payloads keep loading unchanged.
+        Payloads written while a ``compute`` section existed carry
+        ``{"engine": "eager", ...}``; that section is dropped (eager is the
+        only engine), and any other engine raises ``ValueError``.
         """
         data = dict(payload)
+        compute = dict(data.pop("compute", None) or {})
+        if compute.get("engine", "eager") != "eager":
+            raise ValueError(
+                f"compute.engine={compute['engine']!r} is no longer available: "
+                "the lazy compute engine was removed and every run executes "
+                "eagerly; delete the config's compute section"
+            )
         known = {spec.name for spec in fields(cls)} | set(_FLAT_DATA_FIELDS)
         unknown = set(data) - known
         if unknown:
@@ -299,11 +306,6 @@ class FederationConfig:
                 or getattr(self.systems, name)
                 != getattr(systems_defaults, name)
             }
-        if self.compute != ComputeConfig():
-            # The compute engine choice joins the hash only when it leaves
-            # the historical eager default, so every pre-compute-section
-            # config keeps its stable_hash and stored results still resume.
-            payload["compute"] = asdict(self.compute)
         if self.compression is not None:
             # Hash-gated like systems: absent ⇒ stable_hash unchanged, so
             # every pre-codec config keeps its historical hash.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Mapping, Optional
 
-from ..engine import compute_scope
 from ..systems.callback import FleetSimCallback
 from .builder import FederationConfig, build_trainer, make_clients
 from .client import FederatedClient
@@ -73,18 +72,13 @@ class Federation:
         :class:`~repro.systems.callback.FleetSimCallback` appended
         automatically (unless the caller passed one), so every round
         record carries its simulated fleet seconds and stragglers.
-
-        The whole run executes under the config's ``compute:`` section —
-        the default eager engine, or lazy graph recording through the
-        selected runtime (:mod:`repro.engine`).
         """
         callbacks = list(callbacks or ())
         if self._trainer.fleet_sim is not None and not any(
             isinstance(callback, FleetSimCallback) for callback in callbacks
         ):
             callbacks.append(FleetSimCallback())
-        with compute_scope(self.config.compute):
-            return self._trainer.run(callbacks=callbacks or None)
+        return self._trainer.run(callbacks=callbacks or None)
 
     @property
     def trainer(self) -> FederatedTrainer:

@@ -77,7 +77,7 @@ class SGD:
         for name, param in self._named:
             if param.grad is None:
                 continue
-            data = param.data  # one realize/property access per parameter
+            data = param.data  # one property access per parameter
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * data

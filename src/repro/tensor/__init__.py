@@ -1,8 +1,8 @@
 """Reverse-mode autograd engine on numpy (the reproduction's PyTorch stand-in).
 
-Forward execution is delegated to :mod:`repro.engine` — eager reference
-kernels by default, lazy graph recording with fusion under a
-``compute: {engine: lazy}`` run config.
+Every forward op runs its numpy kernel from the :mod:`repro.engine` kernel
+table through the single dispatch point
+:func:`~repro.engine.ops.run_kernel`.
 """
 
 from .tensor import (

@@ -5,18 +5,16 @@ graph nodes rather than compositions of primitive tensor ops.  This keeps the
 autograd graph small and the numpy work vectorized, which matters because the
 federated experiments train hundreds of client models.
 
-Forward values route through the compute engine (:mod:`repro.engine`) like
-the primitive tensor ops do: under a lazy compute config they record as
-single graph nodes whose kernels stash *saved* intermediates (im2col
-columns, pool argmax, softmax) on the buffer for the backward closures.
-Two deliberate eager islands remain:
+Forward values dispatch through :func:`~repro.engine.ops.run_kernel` like
+the primitive tensor ops do; the kernels of convolution, pooling and
+log-softmax also return *saved* intermediates (im2col columns, pool argmax,
+softmax) that the backward closures read.  Two ops differ:
 
-* :func:`batch_norm` mutates its running statistics in place at call time
-  (PyTorch semantics), so deferring it would defer the statistics update —
-  it synchronizes its input and executes immediately.
-* :func:`dropout` draws its mask from the caller's RNG at call time to
-  preserve the eager engine's stream consumption order exactly; only the
-  masking multiply itself is recorded.
+* :func:`batch_norm` computes directly in numpy, outside the kernel table,
+  because it also updates its running statistics in place at call time
+  (PyTorch semantics).
+* :func:`dropout` draws its mask from the caller's RNG and dispatches only
+  the masking multiply.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..engine.ops import col2im, im2col  # noqa: F401  (re-exported, historical home)
-from .tensor import Tensor, _apply, _make, _saved_of, grad_enabled
+from .tensor import Tensor, _apply, _make, grad_enabled
 
 
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -55,7 +53,7 @@ def conv2d(
     out_shape = (batch, out_channels, out_h, out_w)
     attrs = {"stride": stride, "padding": padding, "out_shape": out_shape}
     args = (x._data, weight._data) if bias is None else (x._data, weight._data, bias._data)
-    value, saved = _apply("conv2d", args, attrs, out_shape)
+    value, saved = _apply("conv2d", args, attrs)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = grad_enabled() and any(p.requires_grad for p in parents)
@@ -63,8 +61,7 @@ def conv2d(
     if requires:
 
         def _backward(grad: np.ndarray) -> None:
-            stash = saved if saved is not None else _saved_of(value)
-            cols, w2d, padded_shape = stash["cols"], stash["w2d"], stash["padded_shape"]
+            cols, w2d, padded_shape = saved["cols"], saved["w2d"], saved["padded_shape"]
             grad2d = grad.reshape(batch, out_channels, out_h * out_w)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
@@ -96,14 +93,14 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 
     out_shape = (batch, channels, out_h, out_w)
     attrs = {"kernel": kernel, "stride": stride, "out_shape": out_shape}
-    value, saved = _apply("max_pool2d", (x._data,), attrs, out_shape)
+    value, saved = _apply("max_pool2d", (x._data,), attrs)
 
     requires = grad_enabled() and x.requires_grad
     out = _make(value, requires, (x,))
     if requires:
 
         def _backward(grad: np.ndarray) -> None:
-            argmax = (saved if saved is not None else _saved_of(value))["argmax"]
+            argmax = saved["argmax"]
             grad_x = np.zeros(x.shape)
             for idx in range(kernel * kernel):
                 i, j = divmod(idx, kernel)
@@ -133,8 +130,6 @@ def batch_norm(
 
     ``running_mean`` / ``running_var`` are updated in place during training,
     mirroring PyTorch semantics (exponential moving average with ``momentum``).
-    The in-place statistics update is why this op is an eager island: it
-    synchronizes ``x`` and executes immediately even under a lazy engine.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -201,13 +196,13 @@ def batch_norm(
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    value, saved = _apply("log_softmax", (x._data,), {"axis": axis}, x.shape)
+    value, saved = _apply("log_softmax", (x._data,), {"axis": axis})
     requires = grad_enabled() and x.requires_grad
     out = _make(value, requires, (x,))
     if requires:
 
         def _backward(grad: np.ndarray) -> None:
-            softmax = (saved if saved is not None else _saved_of(value))["softmax"]
+            softmax = saved["softmax"]
             x._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
 
         out._backward = _backward
@@ -223,7 +218,7 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-likelihood of integer ``targets`` under ``log_probs``."""
     targets = np.asarray(targets)
     batch = log_probs.shape[0]
-    value, _ = _apply("nll_loss", (log_probs._data,), {"targets": targets}, ())
+    value, _ = _apply("nll_loss", (log_probs._data,), {"targets": targets})
     requires = grad_enabled() and log_probs.requires_grad
     out = _make(value, requires, (log_probs,))
     if requires:
@@ -243,11 +238,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or ``rate == 0``.
-
-    The mask is drawn eagerly (RNG stream order must not depend on the
-    compute engine); only the multiply is recorded.
-    """
+    """Inverted dropout; identity when not training or ``rate == 0``."""
     if not training or rate <= 0.0:
         return x
     keep = 1.0 - rate

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over the compute engine.
+"""Reverse-mode automatic differentiation over the kernel table.
 
 This module provides the :class:`Tensor` class, a thin autograd wrapper
 that records a computation graph and supports backpropagation.  It
@@ -8,16 +8,9 @@ reductions, reshaping and indexing.  Convolution, pooling and batch-norm
 live in :mod:`repro.tensor.ops` as dedicated ops with hand-written
 backward passes for speed.
 
-Every forward primitive routes through :func:`_apply`, which either runs
-the op's reference kernel immediately (the historical **eager** engine,
-the default) or records it as a :class:`~repro.engine.lazy.LazyBuffer`
-node when a lazy :class:`~repro.engine.ComputeConfig` is active.  In lazy
-mode ``Tensor._data`` holds the pending buffer; touching ``.data`` (or
-``item()``, ``backward()``, …) realizes it through the scheduler, which
-fuses elementwise chains and folds movement ops.  Backward passes are
-always eager numpy over realized arrays — intermediates a backward
-closure will read are ``keep``-marked at record time so fusion never
-hides them, keeping lazy training bit-identical to eager.
+Every forward primitive routes through :func:`_apply`, which runs the
+op's numpy kernel from :mod:`repro.engine.ops` immediately via
+:func:`~repro.engine.ops.run_kernel` — the one dispatch point per op.
 
 Design notes
 ------------
@@ -27,7 +20,7 @@ Design notes
 * Broadcasting in the forward pass is undone in the backward pass by
   :func:`unbroadcast`, which sums gradient over broadcast axes.
 * :func:`no_grad` suspends graph recording entirely — evaluation paths
-  use it, which also unlocks full fusion (no keep marks, no closures).
+  use it, so no backward closures are attached.
 """
 
 from __future__ import annotations
@@ -38,9 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine.lazy import LazyBuffer
-from ..engine.ops import infer_shape, run_kernel
-from ..engine.runtime import active_runtime
+from ..engine.ops import run_kernel
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -62,13 +53,12 @@ def grad_enabled() -> bool:
 
 @contextmanager
 def no_grad():
-    """Suspend gradient recording (and keep-marking) inside the block.
+    """Suspend gradient recording inside the block.
 
-    Evaluation paths run under this: outputs never require grad, no
-    backward closures are attached, and — under a lazy engine — no
-    intermediate is pinned for backward, so whole forward passes fuse.
-    The flag is thread-local, so a client evaluating on one worker thread
-    never disables recording for a client training on another.
+    Evaluation paths run under this: outputs never require grad and no
+    backward closures are attached.  The flag is thread-local, so a client
+    evaluating on one worker thread never disables recording for a client
+    training on another.
     """
     previous = _GRAD_MODE.enabled
     _GRAD_MODE.enabled = False
@@ -107,52 +97,20 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _apply(op, args, attrs=None, out_shape=None):
-    """Run or record one engine primitive over raw ``_data`` values.
+def _apply(op, args, attrs=None):
+    """Run one primitive's kernel over raw ``_data`` arrays.
 
-    Eager (no active runtime): executes the reference kernel immediately
-    and returns ``(ndarray, saved-or-None)``.  Lazy: builds a
-    :class:`LazyBuffer` node and returns ``(buffer, None)`` — saved
-    intermediates become available as ``buffer.saved`` after realization.
+    Returns ``(ndarray, saved-or-None)``; ``saved`` holds the
+    intermediates a structured op's backward closure reads.
     """
-    runtime = active_runtime()
-    if runtime is None:
-        host = [a if type(a) is np.ndarray else _value_of(a) for a in args]
-        value, saved = run_kernel(op, attrs, host)
-        if not isinstance(value, np.ndarray):
-            value = np.asarray(value)  # numpy returns scalars for 0-d results
-        return value, saved
-    if out_shape is None:
-        out_shape = infer_shape(op, attrs, [a.shape for a in args])
-    srcs = tuple(a if type(a) is LazyBuffer else LazyBuffer.const(a) for a in args)
-    return LazyBuffer(op, srcs, attrs, out_shape), None
-
-
-def _value_of(data) -> np.ndarray:
-    """The realized array behind an ``_data`` value (ndarray or buffer)."""
-    if type(data) is np.ndarray:
-        return data
-    realized = data.realized
-    return realized if realized is not None else data.realize()
-
-
-def _saved_of(data):
-    """Saved backward intermediates of a recorded op, realizing if needed."""
-    if type(data) is not np.ndarray and data.realized is None:
-        data.realize()
-    return data.saved
-
-
-def _keep(*tensors: "Tensor") -> None:
-    """Pin pending buffers whose values a backward closure will read."""
-    for tensor in tensors:
-        data = tensor._data
-        if type(data) is LazyBuffer:
-            data.keep = True
+    value, saved = run_kernel(op, attrs, args)
+    if not isinstance(value, np.ndarray):
+        value = np.asarray(value)  # numpy returns scalars for 0-d results
+    return value, saved
 
 
 def _make(value, requires: bool, parents: Tuple["Tensor", ...]) -> "Tensor":
-    """Fast Tensor construction around an engine result (no coercion)."""
+    """Fast Tensor construction around a kernel result (no coercion)."""
     out = Tensor.__new__(Tensor)
     out._data = value
     out.grad = None
@@ -176,7 +134,7 @@ def _resolve_shape(shape: Tuple[int, ...], size: int) -> Tuple[int, ...]:
 
 
 class Tensor:
-    """An engine-backed array plus the bookkeeping needed for backpropagation."""
+    """A numpy array plus the bookkeeping needed for backpropagation."""
 
     __slots__ = ("_data", "grad", "requires_grad", "_backward", "_parents", "name")
 
@@ -187,7 +145,7 @@ class Tensor:
         _parents: Tuple["Tensor", ...] = (),
         name: Optional[str] = None,
     ) -> None:
-        self._data = data if type(data) is LazyBuffer else _as_array(data)
+        self._data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -195,30 +153,17 @@ class Tensor:
         self.name = name
 
     # ------------------------------------------------------------------
-    # Data access (the engine's realize() point)
+    # Data access and introspection
     # ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
-        """The underlying array, realizing any pending lazy graph."""
-        data = self._data
-        if type(data) is np.ndarray:
-            return data
-        realized = data.realized
-        return realized if realized is not None else data.realize()
+        """The underlying array."""
+        return self._data
 
     @data.setter
     def data(self, value) -> None:
-        self._data = value if type(value) is LazyBuffer else _as_array(value)
+        self._data = _as_array(value)
 
-    @property
-    def lazy(self) -> bool:
-        """Whether this tensor currently holds an unrealized buffer."""
-        data = self._data
-        return type(data) is LazyBuffer and data.realized is None
-
-    # ------------------------------------------------------------------
-    # Introspection (never triggers realization)
-    # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
         return self._data.shape
@@ -243,11 +188,10 @@ class Tensor:
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        lazy_flag = ", lazy" if self.lazy else ""
-        return f"Tensor(shape={self.shape}{grad_flag}{lazy_flag})"
+        return f"Tensor(shape={self.shape}{grad_flag})"
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy; realizes if lazy)."""
+        """Return the underlying array (no copy)."""
         return self.data
 
     def item(self) -> float:
@@ -262,11 +206,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def realize(self) -> "Tensor":
-        """Force any pending lazy computation; returns ``self``."""
-        _ = self.data
-        return self
 
     # ------------------------------------------------------------------
     # Graph construction helpers
@@ -363,10 +302,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and (self.requires_grad or other.requires_grad)
         out = _make(value, requires, (self, other))
         if requires:
-            if self.requires_grad:
-                _keep(other)
-            if other.requires_grad:
-                _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 if self.requires_grad:
@@ -385,10 +320,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and (self.requires_grad or other.requires_grad)
         out = _make(value, requires, (self, other))
         if requires:
-            if self.requires_grad:
-                _keep(other)
-            if other.requires_grad:
-                _keep(self, other)
 
             def _backward(grad: np.ndarray) -> None:
                 if self.requires_grad:
@@ -411,7 +342,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
@@ -425,10 +355,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and (self.requires_grad or other.requires_grad)
         out = _make(value, requires, (self, other))
         if requires:
-            if self.requires_grad:
-                _keep(other)
-            if other.requires_grad:
-                _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 if self.requires_grad:
@@ -456,10 +382,9 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(out)
 
             def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * _value_of(value))
+                self._accumulate(grad * value)
 
             out._backward = _backward
         return out
@@ -469,7 +394,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad / self.data)
@@ -485,11 +409,9 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(out)
 
             def _backward(grad: np.ndarray) -> None:
-                forward = _value_of(value)
-                self._accumulate(grad * (1.0 - forward ** 2))
+                self._accumulate(grad * (1.0 - value ** 2))
 
             out._backward = _backward
         return out
@@ -499,11 +421,9 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(out)
 
             def _backward(grad: np.ndarray) -> None:
-                forward = _value_of(value)
-                self._accumulate(grad * forward * (1.0 - forward))
+                self._accumulate(grad * value * (1.0 - value))
 
             out._backward = _backward
         return out
@@ -513,7 +433,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * (self.data > 0))
@@ -526,7 +445,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * np.sign(self.data))
@@ -572,7 +490,6 @@ class Tensor:
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
-            _keep(self)
 
             def _backward(grad: np.ndarray) -> None:
                 expanded = self.data.max(axis=axis, keepdims=True)
@@ -589,13 +506,13 @@ class Tensor:
         return out
 
     # ------------------------------------------------------------------
-    # Shape manipulation (movement ops: folded to views, never kernels)
+    # Shape manipulation
     # ------------------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         resolved = _resolve_shape(shape, self.size)
-        value, _ = _apply("reshape", (self._data,), {"shape": resolved}, resolved)
+        value, _ = _apply("reshape", (self._data,), {"shape": resolved})
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         if requires:
@@ -615,8 +532,7 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out_shape = tuple(self.shape[a] for a in axes)
-        value, _ = _apply("transpose", (self._data,), {"axes": axes}, out_shape)
+        value, _ = _apply("transpose", (self._data,), {"axes": axes})
         requires = _GRAD_MODE.enabled and self.requires_grad
         out = _make(value, requires, (self,))
         inverse = np.argsort(axes)
@@ -624,22 +540,6 @@ class Tensor:
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad.transpose(inverse))
-
-            out._backward = _backward
-        return out
-
-    def expand(self, *shape) -> "Tensor":
-        """Broadcast to ``shape`` without copying (a movement op)."""
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        shape = tuple(int(dim) for dim in shape)
-        value, _ = _apply("expand", (self._data,), {"shape": shape}, shape)
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(unbroadcast(grad, self.shape))
 
             out._backward = _backward
         return out

@@ -1,5 +1,7 @@
 """CLI: the `list` subcommand and serialized-config runs."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,6 +49,29 @@ class TestConfigRuns:
         out = capsys.readouterr().out
         assert "fedavg on mnist" in out
         assert "final personalized accuracy" in out
+
+    def test_config_with_eager_compute_section_runs(self, capsys, tmp_path):
+        """``--export-config`` files that still carry the removed
+        ``compute`` section (always eager) run unchanged."""
+        payload = json.loads(tiny_config_json())
+        payload["compute"] = {"engine": "eager", "runtime": "numpy", "fusion": True}
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(payload))
+        current_path = tmp_path / "current.json"
+        current_path.write_text(tiny_config_json())
+        assert main(["run", "--config", str(legacy_path)]) == 0
+        legacy_out = capsys.readouterr().out
+        assert main(["run", "--config", str(current_path)]) == 0
+        assert "final personalized accuracy" in legacy_out
+        assert legacy_out == capsys.readouterr().out
+
+    def test_config_selecting_the_lazy_engine_is_refused(self, tmp_path):
+        payload = json.loads(tiny_config_json())
+        payload["compute"] = {"engine": "lazy", "runtime": "numpy", "fusion": True}
+        config_path = tmp_path / "lazy.json"
+        config_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="lazy compute engine was removed"):
+            main(["run", "--config", str(config_path)])
 
     def test_export_config_round_trips_without_training(self, capsys, tmp_path):
         config_path = tmp_path / "run.json"

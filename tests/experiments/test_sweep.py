@@ -264,6 +264,23 @@ class TestResume:
         assert result.executed == [cell.key]
         assert result[cell.key].ok
 
+    def test_store_cell_with_removed_compute_section_still_resumes(self, tmp_path):
+        """Stores written while configs carried ``compute: {engine: eager}``
+        load with their original hash instead of silently recomputing."""
+        store = ResultStore(tmp_path)
+        cell = tiny_cell()
+        run_sweep([cell], store=store)
+        path = store.path_for(cell.config_hash)
+        payload = json.loads(path.read_text())
+        payload["config"]["compute"] = {"engine": "eager", "runtime": "numpy", "fusion": True}
+        path.write_text(json.dumps(payload))
+        loaded = store.load(cell.config_hash)
+        assert loaded is not None
+        assert loaded.config_hash == cell.config_hash
+        assert loaded.config.stable_hash() == cell.config_hash
+        resumed = run_sweep([cell], store=store)
+        assert resumed.executed == [] and resumed.reused == [cell.key]
+
     def test_duplicate_cells_compute_once(self):
         result = run_sweep([tiny_cell("x"), tiny_cell("y")])
         assert result.executed == ["x"]

@@ -1,9 +1,11 @@
 """Trajectory tracking, the report generator and new CLI subcommands."""
 
+import functools
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import run_fig1_trajectory
+from repro.experiments import ResultStore, run_fig1_trajectory
 from repro.experiments.report import build_report
 from repro.federated import FederationConfig, LocalTrainConfig, make_clients
 from repro.federated.builder import model_factory
@@ -58,19 +60,29 @@ class TestTrajectoryTracking:
             assert all(0.0 <= acc <= 1.0 for _, acc in curve)
 
 
+@pytest.fixture(scope="module")
+def smoke_report(tmp_path_factory):
+    """The mnist smoke report, built once; its cells stay cached in the store."""
+    store = ResultStore(tmp_path_factory.mktemp("report-store"))
+    text = build_report(datasets=("mnist",), preset="smoke", seed=0, store=store)
+    return store, text
+
+
 class TestReportGenerator:
-    def test_builds_markdown(self):
-        text = build_report(datasets=("mnist",), preset="smoke", seed=0)
+    def test_builds_markdown(self, smoke_report):
+        _, text = smoke_report
         assert "# Sub-FedAvg reproduction report" in text
         assert "Table 1" in text and "Table 2" in text
         assert "Figure 2" in text and "Figure 3" in text
 
-    def test_write_report(self, tmp_path):
+    def test_write_report(self, tmp_path, smoke_report):
         from repro.experiments.report import write_report
 
+        store, expected = smoke_report
         out = tmp_path / "report.md"
-        text = write_report(out, datasets=("mnist",), preset="smoke", seed=0)
+        text = write_report(out, datasets=("mnist",), preset="smoke", seed=0, store=store)
         assert out.read_text() == text
+        assert text == expected
 
 
 class TestNewCliCommands:
@@ -87,7 +99,14 @@ class TestNewCliCommands:
         out = capsys.readouterr().out
         assert "variant" in out and "step=" in out
 
-    def test_report_command(self, capsys, tmp_path):
+    def test_report_command(self, capsys, tmp_path, monkeypatch, smoke_report):
+        import repro.experiments.report as report
+
+        store, expected = smoke_report
+        monkeypatch.setattr(
+            report, "build_report", functools.partial(build_report, store=store)
+        )
         out_path = tmp_path / "r.md"
         assert main(["report", "--dataset", "mnist", "--out", str(out_path)]) == 0
         assert out_path.exists()
+        assert out_path.read_text() == expected

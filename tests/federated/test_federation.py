@@ -162,6 +162,14 @@ class TestLegacyConfigMigration:
         )
         assert dirichlet.stable_hash() == "4d9e3dbba52508f6"
 
+    def test_default_config_hash_pinned(self):
+        """A default nested-schema config keeps the hash its result stores
+        were keyed by (pinned since the config gained optional sections)."""
+        config = FederationConfig(
+            dataset="mnist", algorithm="fedavg", num_clients=4, rounds=1, seed=0
+        )
+        assert config.stable_hash() == "70451bccff9b90c5"
+
     def test_new_scenario_fields_do_change_the_hash(self):
         base = tiny_config()
         availability = dataclasses.replace(
