@@ -8,13 +8,9 @@ communication argument.
 import pytest
 
 from repro.experiments import run_convergence
-from repro.federated import (
-    EDGE_PHONE,
-    WallClockModel,
-    compare_time_to_accuracy,
-)
 from repro.federated.accounting import dense_conv_flops
 from repro.models import create_model
+from repro.systems import EDGE_PHONE, Fleet, FleetSimulator, SynchronousPolicy
 
 TARGET = 0.7
 
@@ -30,13 +26,18 @@ def test_seconds_to_accuracy(benchmark, once, capsys):
         seed=0,
     )
     flops = dense_conv_flops(create_model("mnist"), 28)
-    model = WallClockModel(
-        profiles=[EDGE_PHONE],
+    simulator = FleetSimulator(
+        Fleet(cycle=(EDGE_PHONE,)),
+        SynchronousPolicy(),
         flops_per_example=flops,
         examples_per_round=60 * 3,  # shard size x local epochs at smoke scale
     )
-    table = compare_time_to_accuracy(histories, model, TARGET)
-    totals = {name: model.total_seconds(history) for name, history in histories.items()}
+    reports = {name: simulator.simulate(history) for name, history in histories.items()}
+    table = {
+        name: reports[name].time_to_accuracy(history, TARGET)
+        for name, history in histories.items()
+    }
+    totals = {name: report.total_seconds for name, report in reports.items()}
 
     with capsys.disabled():
         print(f"\nSimulated wall-clock on {EDGE_PHONE.name} (uplink 1 MB/s):")

@@ -20,7 +20,7 @@ Every experiment axis is a plugin registry: algorithms
 (``repro.federated.register_sampler``).  Run configs serialize to JSON
 (including the nested ``data``/``scenario`` scenario sections), and
 callbacks (``ProgressLogger``, ``EarlyStopping``, ``CheckpointCallback``,
-``WallClockCallback``) hook into the round loop.
+``FleetSimCallback``) hook into the round loop.
 """
 
 from . import data, experiments, federated, models, nn, optim, pruning, tensor, utils

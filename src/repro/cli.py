@@ -654,8 +654,8 @@ def _cmd_fig3(args) -> int:
     print(f"rounds to {args.target:.0%}: {rounds_to_target(histories, args.target)}")
     times = seconds_to_target(histories, args.target)
     if any(seconds is not None for seconds in times.values()):
-        # Only meaningful when rounds carry simulated/wall-clock pricing
-        # (a systems-configured run or a FleetSimCallback/WallClockCallback).
+        # Only meaningful when rounds carry simulated seconds (a
+        # systems-configured run or a FleetSimCallback).
         print(f"simulated seconds to {args.target:.0%}: {times}")
     return 0
 

@@ -8,7 +8,9 @@ and EMNIST: accuracy rises with moderate sparsity (common parameters
 removed) and degrades past ~50% (personal parameters start to go).
 
 Figure 3 — mean personalized accuracy against communication round for
-Sub-FedAvg (Un) vs FedAvg / LG-FedAvg / MTL.
+Sub-FedAvg (Un) vs FedAvg / LG-FedAvg / MTL.  Its time axis
+(:func:`fig3_time_series`, :func:`seconds_to_target`) reads the
+``simulated_seconds`` the fleet simulator stamps on each round.
 
 Each figure's grid is declared as a
 :class:`~repro.experiments.sweep.SweepSpec` (:func:`fig2_spec`,
@@ -246,8 +248,7 @@ def fig3_time_series(
     The Figure-3 curves re-based onto the deployment-relevant time axis:
     rounds priced by the fleet simulator (``simulated_seconds``, stamped
     by a ``systems``-configured run or a
-    :class:`~repro.systems.callback.FleetSimCallback`), falling back to
-    legacy ``wall_clock_seconds`` annotations.
+    :class:`~repro.systems.callback.FleetSimCallback`).
     """
     return {
         name: simulated_time_curve(history) for name, history in histories.items()

@@ -20,7 +20,7 @@ an :mod:`~repro.federated.execution` backend (``serial``, ``thread`` or
 ``process`` — ``FederationConfig(backend=..., workers=...)``) with
 histories guaranteed identical across backends.  Lifecycle callbacks (:class:`ProgressLogger`,
 :class:`EarlyStopping`, :class:`CheckpointCallback`,
-:class:`WallClockCallback`, or any :class:`Callback` subclass) observe and
+:class:`FleetSimCallback`, or any :class:`Callback` subclass) observe and
 steer the round loop.  ``build_federation`` and ``run_with_checkpoints``
 remain as thin shims over the same machinery.
 """
@@ -45,7 +45,6 @@ from .callbacks import (
     CheckpointCallback,
     EarlyStopping,
     ProgressLogger,
-    WallClockCallback,
 )
 from .execution import (
     WIRE_VERSION,
@@ -136,18 +135,13 @@ from .robust import (
     trimmed_mean_average,
 )
 from .trainers.finetune import FedAvgFinetune
-from .simulation import (
+from ..systems import (
     DEVICE_PROFILES,
     EDGE_PHONE,
     RASPBERRY_PI,
     WORKSTATION,
     DeviceProfile,
     Fleet,
-    WallClockModel,
-    compare_time_to_accuracy,
-    time_to_accuracy,
-)
-from ..systems import (
     FleetSimCallback,
     FleetSimulator,
     SystemsConfig,
@@ -201,7 +195,6 @@ __all__ = [
     "ProgressLogger",
     "EarlyStopping",
     "CheckpointCallback",
-    "WallClockCallback",
     "FederatedClient",
     "LocalTrainConfig",
     "LocalTrainResult",
@@ -279,9 +272,6 @@ __all__ = [
     "available_round_policies",
     "fleet_specs",
     "round_policy_specs",
-    "WallClockModel",
-    "time_to_accuracy",
-    "compare_time_to_accuracy",
     "EDGE_PHONE",
     "RASPBERRY_PI",
     "WORKSTATION",

@@ -86,21 +86,6 @@ _PR4_SCENARIO_FIELDS = (
     "profile_participation",
 )
 
-#: ``systems`` fields the PR-5 schema carried.  Newer fields (the pricing
-#: mode) join the canonical hash payload only when they leave their
-#: defaults, so every PR-5-expressible systems section keeps its
-#: historical ``stable_hash``.
-_PR5_SYSTEMS_FIELDS = (
-    "round_policy",
-    "deadline_seconds",
-    "buffer_size",
-    "staleness_exponent",
-    "server_overhead_seconds",
-    "flops_per_example",
-    "examples_per_round",
-    "jitter",
-)
-
 #: Pre-scenario flat field names: the exact ``data`` fields the PR-3 flat
 #: schema carried at the top level.  They anchor the canonical hash layout
 #: (see :meth:`FederationConfig._canonical_dict`).
@@ -211,7 +196,9 @@ class FederationConfig:
         sections), so stored PR-3-era payloads keep loading unchanged.
         Payloads written while a ``compute`` section existed carry
         ``{"engine": "eager", ...}``; that section is dropped (eager is the
-        only engine), and any other engine raises ``ValueError``.
+        only engine), and any other engine raises ``ValueError``.  A
+        ``systems.pricing`` key (``"vector"`` or ``"scalar"``, which priced
+        bit-identically) is dropped too.
         """
         data = dict(payload)
         compute = dict(data.pop("compute", None) or {})
@@ -225,6 +212,9 @@ class FederationConfig:
         unknown = set(data) - known
         if unknown:
             raise KeyError(f"unknown FederationConfig fields: {sorted(unknown)}")
+        systems = data.get("systems")
+        if isinstance(systems, Mapping):
+            data["systems"] = {k: v for k, v in systems.items() if k != "pricing"}
         for section, section_cls in _SECTION_TYPES.items():
             value = data.get(section)
             if isinstance(value, Mapping):
@@ -294,18 +284,7 @@ class FederationConfig:
                 or getattr(self.scenario, name) != getattr(scenario_defaults, name)
             }
         if self.systems is not None:
-            # Same only-when-non-default rule as the scenario section:
-            # post-PR-5 systems fields (the pricing mode) join the payload
-            # only when set, so PR-5-expressible systems sections keep
-            # their historical hash.
-            systems_defaults = SystemsConfig()
-            payload["systems"] = {
-                name: getattr(self.systems, name)
-                for name in SystemsConfig.__dataclass_fields__
-                if name in _PR5_SYSTEMS_FIELDS
-                or getattr(self.systems, name)
-                != getattr(systems_defaults, name)
-            }
+            payload["systems"] = asdict(self.systems)
         if self.compression is not None:
             # Hash-gated like systems: absent ⇒ stable_hash unchanged, so
             # every pre-codec config keeps its historical hash.
@@ -464,7 +443,6 @@ def build_fleet_simulator(
         server_overhead_seconds=systems.server_overhead_seconds,
         jitter=systems.jitter,
         seed=config.seed,
-        pricing=systems.pricing,
     )
 
 

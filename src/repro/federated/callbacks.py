@@ -9,15 +9,14 @@ accepts a list of callbacks and invokes, in list order:
 * ``on_evaluate(trainer, round_index, accuracy)`` — after each periodic
   all-client evaluation (``eval_every``),
 * ``on_round_end(trainer, round_index, record)`` — the record is mutable;
-  callbacks may annotate it (e.g. wall-clock seconds) or call
+  callbacks may annotate it (e.g. simulated seconds) or call
   ``trainer.request_stop()`` to end the round loop early,
 * ``on_run_end(trainer, history)`` — once, after the final evaluation.
 
 Built-ins cover the common run furniture: :class:`ProgressLogger`,
-:class:`EarlyStopping`, :class:`CheckpointCallback` (the callback form of
-the old ``run_with_checkpoints`` driver) and :class:`WallClockCallback`
-(live per-round seconds from a
-:class:`~repro.federated.simulation.WallClockModel`).
+:class:`EarlyStopping` and :class:`CheckpointCallback` (the callback form
+of the old ``run_with_checkpoints`` driver).  Live per-round simulated
+seconds come from :class:`~repro.systems.callback.FleetSimCallback`.
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ class ProgressLogger(Callback):
         if record.mean_sparsity:
             parts.append(f"sparsity={record.mean_sparsity:.0%}")
         parts.append(f"up={record.uploaded_bytes / 1e6:.2f}MB")
-        if record.wall_clock_seconds is not None:
-            parts.append(f"t={record.wall_clock_seconds:.1f}s")
+        if record.simulated_seconds is not None:
+            parts.append(f"t={record.simulated_seconds:.1f}s")
         self._print("  ".join(parts))
 
     def on_run_end(self, trainer, history: History) -> None:
@@ -252,24 +251,3 @@ class CheckpointCallback(Callback):
         if completed and self._last_saved != completed:
             save_checkpoint(self.path, trainer, completed)
             self._last_saved = completed
-
-
-class WallClockCallback(Callback):
-    """Annotates each round with simulated seconds as the run progresses.
-
-    Wraps a :class:`~repro.federated.simulation.WallClockModel`: instead of
-    pricing a finished :class:`History` post hoc, each record gets its
-    ``wall_clock_seconds`` the moment the round completes, and the running
-    ``total_seconds`` is available to other callbacks (e.g. a time budget).
-    """
-
-    def __init__(self, model) -> None:
-        self.model = model
-        self.round_seconds: List[float] = []
-        self.total_seconds = 0.0
-
-    def on_round_end(self, trainer, round_index: int, record: RoundRecord) -> None:
-        seconds = self.model.round_seconds(record)
-        record.wall_clock_seconds = seconds
-        self.round_seconds.append(seconds)
-        self.total_seconds += seconds

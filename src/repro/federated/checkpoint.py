@@ -17,11 +17,11 @@ are drawn after the resume point but not the algorithm's semantics.
 from __future__ import annotations
 
 import pickle
-from dataclasses import asdict
 from pathlib import Path
 from typing import Union
 
-from .metrics import History, RoundRecord
+from ..utils.serialization import history_from_dict, history_to_dict
+from .metrics import History
 from .trainers.base import FederatedTrainer
 from .trainers.subfedavg import SubFedAvgTrainer
 
@@ -37,7 +37,7 @@ def save_checkpoint(path: PathLike, trainer: FederatedTrainer, completed_rounds:
         "algorithm": trainer.algorithm_name,
         "completed_rounds": completed_rounds,
         "global_state": trainer.global_state,
-        "history": _history_to_dict(trainer.history),
+        "history": history_to_dict(trainer.history),
         "clients": {},
     }
     for client in trainer.clients:
@@ -73,7 +73,7 @@ def load_checkpoint(path: PathLike, trainer: FederatedTrainer) -> int:
         raise ValueError("checkpoint client ids do not match the trainer's clients")
 
     trainer.global_state = payload["global_state"]
-    trainer.history = _history_from_dict(payload["history"])
+    trainer.history = history_from_dict(payload["history"])
     for client in trainer.clients:
         entry = payload["clients"][client.client_id]
         client.model.load_state_dict(entry["model"])
@@ -98,28 +98,8 @@ def run_with_checkpoints(
 
     Equivalent to ``trainer.run(callbacks=[CheckpointCallback(path,
     every=every, resume=resume)])``, which is the preferred spelling — it
-    composes with other callbacks (progress, early stopping, wall clock).
+    composes with other callbacks (progress, early stopping, fleet time).
     """
     from .callbacks import CheckpointCallback
 
     return trainer.run(callbacks=[CheckpointCallback(path, every=every, resume=resume)])
-
-
-def _history_to_dict(history: History) -> dict:
-    return {
-        "algorithm": history.algorithm,
-        "final_accuracy": history.final_accuracy,
-        "final_per_client_accuracy": history.final_per_client_accuracy,
-        "total_communication_bytes": history.total_communication_bytes,
-        "rounds": [asdict(record) for record in history.rounds],
-    }
-
-
-def _history_from_dict(payload: dict) -> History:
-    history = History(algorithm=payload["algorithm"])
-    for record in payload["rounds"]:
-        history.rounds.append(RoundRecord(**record))
-    history.final_accuracy = payload["final_accuracy"]
-    history.final_per_client_accuracy = dict(payload["final_per_client_accuracy"])
-    history.total_communication_bytes = payload["total_communication_bytes"]
-    return history

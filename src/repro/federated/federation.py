@@ -69,15 +69,17 @@ class Federation:
         """Execute the run, dispatching ``callbacks`` around every round.
 
         A config with a ``systems`` section gets a
-        :class:`~repro.systems.callback.FleetSimCallback` appended
-        automatically (unless the caller passed one), so every round
-        record carries its simulated fleet seconds and stragglers.
+        :class:`~repro.systems.callback.FleetSimCallback` automatically
+        (unless the caller passed one), so every round record carries its
+        simulated fleet seconds and stragglers.  It goes first, so the
+        caller's callbacks (progress lines, checkpoints) see them; a
+        caller-supplied one keeps the caller's order.
         """
         callbacks = list(callbacks or ())
         if self._trainer.fleet_sim is not None and not any(
             isinstance(callback, FleetSimCallback) for callback in callbacks
         ):
-            callbacks.append(FleetSimCallback())
+            callbacks.insert(0, FleetSimCallback())
         return self._trainer.run(callbacks=callbacks or None)
 
     @property

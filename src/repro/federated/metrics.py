@@ -20,9 +20,7 @@ class RoundRecord:
     available, documented even-split fallback included.
 
     ``simulated_seconds`` and ``stragglers`` are stamped by the fleet
-    simulator (:class:`~repro.systems.callback.FleetSimCallback`);
-    ``wall_clock_seconds`` is the legacy
-    :class:`~repro.federated.callbacks.WallClockCallback` annotation.
+    simulator (:class:`~repro.systems.callback.FleetSimCallback`).
     """
 
     round_index: int
@@ -34,7 +32,6 @@ class RoundRecord:
     mean_channel_sparsity: float = 0.0  # avg channel sparsity over clients
     uploaded_bytes: float = 0.0
     downloaded_bytes: float = 0.0
-    wall_clock_seconds: Optional[float] = None  # simulated seconds (WallClockCallback)
     client_uploaded_bytes: Optional[Dict[int, float]] = None
     client_downloaded_bytes: Optional[Dict[int, float]] = None
     simulated_seconds: Optional[float] = None  # fleet-simulator round duration
@@ -103,9 +100,9 @@ class History:
     def seconds_to_accuracy(self, target: float) -> Optional[float]:
         """Simulated seconds until ``target`` mean accuracy (or None).
 
-        Reads the fleet simulator's ``simulated_seconds`` annotations
-        (falling back to legacy ``wall_clock_seconds``); returns None if
-        the target is never reached or no round carries a duration.
+        Reads the fleet simulator's ``simulated_seconds`` annotations;
+        returns None if the target is never reached or no round carries a
+        duration.
         """
         from ..systems.report import simulated_time_to_accuracy
 

@@ -22,8 +22,7 @@ i.i.d. dropout — see
 The scenario also names the run's *fleet* — which hardware each client
 is, resolved through the :func:`~repro.systems.fleet.register_fleet`
 registry.  The fleet is shared by everything device-aware: the
-availability sampler's profile map, the legacy
-:class:`~repro.federated.simulation.WallClockModel`, and the
+availability sampler's profile map and the
 :class:`~repro.systems.rounds.FleetSimulator` configured by the
 ``systems`` section.
 """

@@ -10,18 +10,18 @@ into a first-class, *simulated-time* axis for every experiment:
   timeline bit-for-bit;
 * :mod:`~repro.systems.fleet` — :class:`DeviceProfile` hardware classes
   and the :func:`register_fleet` registry (``tiers``/``uniform``/
-  ``profile-list``): the single owner of the client→device assignment
-  that used to be duplicated across the wall-clock model and the
+  ``profile-list``/``hierarchical``): the single owner of the
+  client→device assignment, shared by the simulator and the
   availability sampler;
-* :mod:`~repro.systems.timeline` — per-client download→compute→upload
-  timelines priced from each client's *actual* bytes (Sub-FedAvg mask
-  sizes, compressed updates) and conv FLOPs;
+* :mod:`~repro.systems.timeline` — download→compute→upload timelines for
+  a whole cohort, priced as arrays from each client's *actual* bytes
+  (Sub-FedAvg mask sizes, compressed updates) and conv FLOPs;
 * :mod:`~repro.systems.rounds` — the :func:`register_round_policy`
   registry (``synchronous``/``deadline``/``async-buffer``) and the
-  :class:`FleetSimulator` engine: plan a round at its start (busy
-  clients, deliveries with staleness weights, predicted stragglers),
-  complete it at its end from recorded bytes, or replay a finished
-  history post hoc;
+  :class:`FleetSimulator` engine, the one thing that prices a round:
+  plan a round at its start (busy clients, deliveries with staleness
+  weights, predicted stragglers), complete it at its end from recorded
+  bytes, or replay a finished history post hoc;
 * :mod:`~repro.systems.config` — the serializable ``systems`` section of
   a :class:`~repro.federated.builder.FederationConfig`;
 * :mod:`~repro.systems.callback` / :mod:`~repro.systems.report` — the
@@ -79,8 +79,6 @@ from .timeline import (
     RoundTimelines,
     TrafficMap,
     build_round_timelines,
-    build_timelines,
-    phase_seconds,
 )
 from .rounds import (
     AsyncBufferPolicy,
@@ -95,7 +93,6 @@ from .rounds import (
     RoundPolicy,
     RoundPolicySpec,
     SynchronousPolicy,
-    VectorDecision,
     available_round_policies,
     build_round_policy,
     get_round_policy,
@@ -106,7 +103,6 @@ from .config import SystemsConfig
 from .callback import FleetSimCallback
 from .report import (
     compare_simulated_time_to_accuracy,
-    record_seconds,
     simulated_time_curve,
     simulated_time_to_accuracy,
     total_simulated_seconds,
@@ -139,8 +135,6 @@ __all__ = [
     "ClientTimeline",
     "RoundTimelines",
     "TrafficMap",
-    "phase_seconds",
-    "build_timelines",
     "build_round_timelines",
     "RoundPolicy",
     "RoundPolicySpec",
@@ -148,7 +142,6 @@ __all__ = [
     "DeadlinePolicy",
     "AsyncBufferPolicy",
     "PolicyDecision",
-    "VectorDecision",
     "Delivery",
     "LazyDeliveries",
     "RoundPlan",
@@ -162,7 +155,6 @@ __all__ = [
     "build_round_policy",
     "SystemsConfig",
     "FleetSimCallback",
-    "record_seconds",
     "simulated_time_curve",
     "simulated_time_to_accuracy",
     "compare_simulated_time_to_accuracy",

@@ -17,8 +17,12 @@ Two ways to use it:
 * **Post-hoc annotation** — wrap any :class:`FleetSimulator` and pass the
   callback to ``run(callbacks=[...])`` on a run *without* a ``systems``
   section: each round is observed from its record alone (no training
-  effect), like :class:`~repro.federated.callbacks.WallClockCallback`
-  but with per-client bytes, device fleets and round policies.
+  effect), priced from per-client bytes under the simulator's fleet and
+  round policy.
+
+:meth:`Federation.run <repro.federated.federation.Federation.run>` puts
+its automatic callback *first*, so every later callback (progress
+logging, checkpoints) already sees the round's ``simulated_seconds``.
 
 The class deliberately has no ``repro.federated`` imports (callbacks are
 duck-typed), keeping :mod:`repro.systems` a leaf package.

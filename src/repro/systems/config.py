@@ -34,13 +34,8 @@ class SystemsConfig:
     flops_per_example: float = 0.0  # 0 = derive from the model (conv FLOPs)
     examples_per_round: float = 0.0  # 0 = derive from epochs × shard size
     jitter: float = 0.0  # per-(round, client) duration jitter, in [0, 1)
-    pricing: str = "vector"  # timeline pricing: "vector" (batch) | "scalar"
 
     def __post_init__(self) -> None:
-        if self.pricing not in ("vector", "scalar"):
-            raise ValueError(
-                f"pricing must be 'vector' or 'scalar', got {self.pricing!r}"
-            )
         if self.deadline_seconds < 0:
             raise ValueError(
                 f"deadline_seconds must be >= 0, got {self.deadline_seconds}"

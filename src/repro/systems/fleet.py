@@ -1,13 +1,11 @@
 """Device profiles and the fleet registry: *which hardware is each client?*
 
-Historically the client→device assignment lived in two places with the
-same hard-coded rule (``client_id % len(profiles)``):
-:meth:`~repro.federated.simulation.WallClockModel.profile_for` and the
-profile map inside
-:class:`~repro.federated.sampler.AvailabilitySampler`.  A :class:`Fleet`
-is now the single owner of that assignment, and fleet *shapes* are a
-registry (:func:`register_fleet`) selected through the ``scenario``
-section of a run config:
+A :class:`Fleet` is the single owner of the client→device assignment:
+the fleet simulator prices rounds with it and the
+:class:`~repro.federated.sampler.AvailabilitySampler` derives per-device
+participation from it.  Fleet *shapes* are a registry
+(:func:`register_fleet`) selected through the ``scenario`` section of a
+run config:
 
 * ``tiers`` — heterogeneous device classes assigned round-robin (the
   historical rule, byte-compatible with the old modulo map),
@@ -17,8 +15,7 @@ section of a run config:
 :class:`DeviceProfile` (and the built-in ``edge-phone`` /
 ``raspberry-pi`` / ``workstation`` profiles) are defined here — the
 simulation subsystem must stay importable without the federated package —
-and re-exported from :mod:`repro.federated.simulation` for backward
-compatibility.
+and re-exported from :mod:`repro.federated`.
 """
 
 from __future__ import annotations
@@ -155,9 +152,9 @@ class Fleet:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-client ``(flops/s, upload B/s, download B/s)`` float64 arrays.
 
-        The values are the *same float objects* the scalar
-        :meth:`profile_for` path reads, so pricing a round from these
-        arrays is bit-identical to the per-client loop.
+        The values are the *same float objects* :meth:`profile_for`
+        returns, so an array-priced round agrees bit-for-bit with pricing
+        each client from its profile.
         """
         indices = self.profile_indices(client_ids)
         flops, up, down = self._rates()

@@ -3,22 +3,13 @@
 The deployment-relevant question is not "how many rounds to X% accuracy"
 but "how many *seconds* on the target fleet".  These helpers read the
 ``simulated_seconds`` the fleet simulator stamped on each round record
-(falling back to the legacy ``wall_clock_seconds`` annotation when a run
-used :class:`~repro.federated.callbacks.WallClockCallback` instead), so
-every existing figure/table driver can report a time axis without caring
-which engine priced the rounds.
+(:class:`~repro.systems.callback.FleetSimCallback`), so every figure and
+table driver can report a time axis.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-
-def record_seconds(record) -> Optional[float]:
-    """The simulated duration of one round record (None when unpriced)."""
-    if record.simulated_seconds is not None:
-        return record.simulated_seconds
-    return record.wall_clock_seconds
 
 
 def simulated_time_curve(history) -> List[Tuple[float, float]]:
@@ -31,7 +22,7 @@ def simulated_time_curve(history) -> List[Tuple[float, float]]:
     curve: List[Tuple[float, float]] = []
     elapsed = 0.0
     for record in history.rounds:
-        seconds = record_seconds(record)
+        seconds = record.simulated_seconds
         if seconds is not None:
             elapsed += seconds
         if record.mean_accuracy is not None:
@@ -59,8 +50,11 @@ def compare_simulated_time_to_accuracy(
 
 def total_simulated_seconds(history) -> Optional[float]:
     """Sum of per-round simulated seconds (None when no round is priced)."""
-    seconds = [record_seconds(record) for record in history.rounds]
-    priced = [value for value in seconds if value is not None]
+    priced = [
+        record.simulated_seconds
+        for record in history.rounds
+        if record.simulated_seconds is not None
+    ]
     if not priced:
         return None
     return float(sum(priced))

@@ -3,9 +3,8 @@
 The server's *round-completion policy* decides when a communication round
 closes and which client uploads it aggregates:
 
-* ``synchronous`` — wait for every participant (the paper's protocol and
-  the legacy :class:`~repro.federated.simulation.WallClockModel`
-  semantics; reproduces its totals bit-for-bit),
+* ``synchronous`` — wait for every participant (the paper's protocol: a
+  round lasts as long as its slowest client plus server overhead),
 * ``deadline`` — close the round after a fixed budget of seconds; late
   clients become zero-weight stragglers (their wasted upload is still
   metered, their update is dropped),
@@ -22,14 +21,14 @@ the ``systems`` section of a
 :class:`~repro.systems.clock.SimClock`, the in-flight client set, and the
 two-phase round protocol —
 
-1. :meth:`~FleetSimulator.plan_round` (round start): build estimated
-   timelines for the sampled clients, ask the policy who will deliver,
-   and hand the trainer a :class:`RoundPlan` (busy clients to skip,
-   deliveries with staleness weights, predicted stragglers);
+1. :meth:`~FleetSimulator.plan_round` (round start): price the sampled
+   cohort's estimated timelines as arrays, ask the policy who will
+   deliver, and hand the trainer a :class:`RoundPlan` (busy clients to
+   skip, deliveries with staleness weights, predicted stragglers);
 2. :meth:`~FleetSimulator.complete_round` (round end): re-price the
    timelines from the *actual* per-client bytes the round recorded,
-   schedule the download/compute/upload events, drain the clock to the
-   close, and advance simulated time.
+   schedule the uploads that carry into later rounds, drain the clock to
+   the close, and advance simulated time.
 
 :meth:`~FleetSimulator.observe` collapses the two phases for post-hoc use
 (the estimate *is* the record), and :meth:`~FleetSimulator.simulate`
@@ -41,12 +40,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .clock import SimClock
-from .events import COMPUTE_DONE, DOWNLOAD_DONE, UPLOAD_DONE, Event
+from .events import UPLOAD_DONE, Event
 from .fleet import Fleet
 from .timeline import (
     ClientTimeline,
@@ -54,7 +53,6 @@ from .timeline import (
     TrafficLike,
     TrafficMap,
     build_round_timelines,
-    build_timelines,
 )
 
 
@@ -80,11 +78,8 @@ class LazyDeliveries(SequenceABC):
     """A delivery list stored as four aligned arrays.
 
     Constructing a million :class:`Delivery` objects would eat the whole
-    vectorized-pricing win, so the vector path keeps the arrays and
-    materializes a :class:`Delivery` only when someone indexes in.  It
-    compares equal to the scalar path's ``tuple`` of deliveries (same
-    ids/staleness/weights in the same order), which is what the parity
-    tests assert.
+    array-pricing win, so the deliveries stay arrays and a
+    :class:`Delivery` is materialized only when someone indexes in.
     """
 
     __slots__ = (
@@ -144,18 +139,14 @@ class LazyDeliveries(SequenceABC):
         return self._weight_map.get(int(client_id), 0.0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LazyDeliveries):
-            return (
-                np.array_equal(self.client_ids, other.client_ids)
-                and np.array_equal(self.rounds_started, other.rounds_started)
-                and np.array_equal(self.staleness, other.staleness)
-                and np.array_equal(self.weights, other.weights)
-            )
-        if isinstance(other, (tuple, list)):
-            return len(other) == len(self) and all(
-                mine == theirs for mine, theirs in zip(self, other)
-            )
-        return NotImplemented
+        if not isinstance(other, LazyDeliveries):
+            return NotImplemented
+        return (
+            np.array_equal(self.client_ids, other.client_ids)
+            and np.array_equal(self.rounds_started, other.rounds_started)
+            and np.array_equal(self.staleness, other.staleness)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -166,20 +157,11 @@ class LazyDeliveries(SequenceABC):
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """A policy's verdict on one round's timelines."""
-
-    delivered: Tuple[ClientTimeline, ...]
-    late: Tuple[ClientTimeline, ...]
-    close_seconds: float  # seconds from round start to close (excl. overhead)
-
-
-@dataclass(frozen=True)
-class VectorDecision:
-    """The vector path's verdict: deliveries already weighted, arrays kept."""
+    """A policy's verdict on one round: weighted deliveries, arrays kept."""
 
     deliveries: LazyDeliveries
     stragglers: Tuple[int, ...]  # fresh clients whose upload misses the close
-    close_seconds: float
+    close_seconds: float  # seconds from round start to close (excl. overhead)
 
 
 class RoundPolicy:
@@ -194,15 +176,16 @@ class RoundPolicy:
         self,
         round_index: int,
         start: float,
-        fresh: Sequence[ClientTimeline],
+        fresh: RoundTimelines,
         carried: Sequence[ClientTimeline],
     ) -> PolicyDecision:
-        raise NotImplementedError
+        """Who delivers and when the round closes, from estimated timelines."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement decide")
 
     def close_seconds_for(
         self,
         plan: "RoundPlan",
-        fresh: Sequence[ClientTimeline],
+        fresh: RoundTimelines,
         carried: Sequence[ClientTimeline],
     ) -> float:
         """Close time for *re-priced* timelines, keeping the plan's verdict.
@@ -212,32 +195,8 @@ class RoundPolicy:
         delivered set — it only re-prices when the close happens from the
         actual bytes.
         """
-        raise NotImplementedError
-
-    def decide_vector(
-        self,
-        round_index: int,
-        start: float,
-        fresh: RoundTimelines,
-        carried: Sequence[ClientTimeline],
-    ) -> VectorDecision:
-        """Array-shaped :meth:`decide`.  Policies that implement it must
-        produce the same deliveries/stragglers/close as the scalar path to
-        the last bit; policies that don't are silently priced on the
-        scalar path (the simulator checks for an override)."""
         raise NotImplementedError(
-            f"{type(self).__name__} has no vectorized decision path"
-        )
-
-    def close_vector(
-        self,
-        plan: "RoundPlan",
-        fresh: RoundTimelines,
-        carried: Sequence[ClientTimeline],
-    ) -> float:
-        """Array-shaped :meth:`close_seconds_for`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no vectorized completion path"
+            f"{type(self).__name__} does not implement close_seconds_for"
         )
 
     def weight(self, staleness: int) -> float:
@@ -248,28 +207,18 @@ class RoundPolicy:
 
 
 class SynchronousPolicy(RoundPolicy):
-    """Wait for every participant — the paper's (and the legacy) semantics."""
+    """Wait for every participant — the paper's semantics."""
 
     name = "synchronous"
 
     def decide(self, round_index, start, fresh, carried) -> PolicyDecision:
         return PolicyDecision(
-            delivered=tuple(fresh),
-            late=(),
-            close_seconds=max((t.duration for t in fresh), default=0.0),
-        )
-
-    def close_seconds_for(self, plan, fresh, carried) -> float:
-        return max((t.duration for t in fresh), default=0.0)
-
-    def decide_vector(self, round_index, start, fresh, carried) -> VectorDecision:
-        return VectorDecision(
             deliveries=LazyDeliveries.uniform(fresh.client_ids, round_index),
             stragglers=(),
             close_seconds=fresh.max_duration(),
         )
 
-    def close_vector(self, plan, fresh, carried) -> float:
+    def close_seconds_for(self, plan, fresh, carried) -> float:
         return fresh.max_duration()
 
 
@@ -287,30 +236,12 @@ class DeadlinePolicy(RoundPolicy):
         self.deadline_seconds = deadline_seconds
 
     def decide(self, round_index, start, fresh, carried) -> PolicyDecision:
-        delivered = tuple(t for t in fresh if t.duration <= self.deadline_seconds)
-        late = tuple(t for t in fresh if t.duration > self.deadline_seconds)
-        close = (
-            self.deadline_seconds
-            if late
-            else max((t.duration for t in fresh), default=0.0)
-        )
-        return PolicyDecision(delivered=delivered, late=late, close_seconds=close)
-
-    def close_seconds_for(self, plan, fresh, carried) -> float:
-        if plan.stragglers:
-            return self.deadline_seconds
-        return min(
-            self.deadline_seconds,
-            max((t.duration for t in fresh), default=0.0),
-        )
-
-    def decide_vector(self, round_index, start, fresh, carried) -> VectorDecision:
         on_time = fresh.durations <= self.deadline_seconds
         late_ids = fresh.client_ids[~on_time]
         close = (
             self.deadline_seconds if late_ids.size else fresh.max_duration()
         )
-        return VectorDecision(
+        return PolicyDecision(
             deliveries=LazyDeliveries.uniform(
                 fresh.client_ids[on_time], round_index
             ),
@@ -318,7 +249,7 @@ class DeadlinePolicy(RoundPolicy):
             close_seconds=close,
         )
 
-    def close_vector(self, plan, fresh, carried) -> float:
+    def close_seconds_for(self, plan, fresh, carried) -> float:
         if plan.stragglers:
             return self.deadline_seconds
         return min(self.deadline_seconds, fresh.max_duration())
@@ -357,36 +288,13 @@ class AsyncBufferPolicy(RoundPolicy):
             return min(self.buffer_size, pending)
         return max(1, pending // 2)
 
-    def decide(self, round_index, start, fresh, carried) -> PolicyDecision:
-        arrivals = sorted(
-            (*fresh, *carried), key=lambda t: (t.finish, t.client_id)
-        )
-        if not arrivals:
-            return PolicyDecision(delivered=(), late=(), close_seconds=0.0)
-        k = self._buffer(len(arrivals))
-        delivered = tuple(arrivals[:k])
-        late = tuple(arrivals[k:])
-        close = max(0.0, delivered[-1].finish - start)
-        return PolicyDecision(delivered=delivered, late=late, close_seconds=close)
-
-    def close_seconds_for(self, plan, fresh, carried) -> float:
-        by_id = {t.client_id: t for t in (*carried, *fresh)}
-        finishes = [
-            by_id[d.client_id].finish
-            for d in plan.deliveries
-            if d.client_id in by_id
-        ]
-        if not finishes:
-            return 0.0
-        return max(0.0, max(finishes) - plan.start)
-
     def weight(self, staleness: int) -> float:
         return float((1 + staleness) ** -self.staleness_exponent)
 
     def _weights(self, staleness: np.ndarray) -> np.ndarray:
         # Per-unique scalar pow: a cohort has at most a handful of distinct
-        # staleness values, and routing each through `weight()` keeps the
-        # vector path bit-identical to CPython's float pow.
+        # staleness values, and routing each through `weight()` keeps every
+        # weight bit-identical to CPython's float pow.
         unique, inverse = np.unique(staleness, return_inverse=True)
         table = np.array(
             [self.weight(int(value)) for value in unique.tolist()],
@@ -394,7 +302,7 @@ class AsyncBufferPolicy(RoundPolicy):
         )
         return table[inverse]
 
-    def decide_vector(self, round_index, start, fresh, carried) -> VectorDecision:
+    def decide(self, round_index, start, fresh, carried) -> PolicyDecision:
         carried = tuple(carried)
         ids = fresh.client_ids
         finishes = fresh.finishes
@@ -414,7 +322,7 @@ class AsyncBufferPolicy(RoundPolicy):
             )
         if ids.size == 0:
             empty = np.array([], dtype=np.int64)
-            return VectorDecision(
+            return PolicyDecision(
                 deliveries=LazyDeliveries.uniform(empty, round_index),
                 stragglers=(),
                 close_seconds=0.0,
@@ -427,7 +335,7 @@ class AsyncBufferPolicy(RoundPolicy):
         staleness = round_index - rounds_started[take]
         late = order[k:]
         fresh_late = late[rounds_started[late] == round_index]
-        return VectorDecision(
+        return PolicyDecision(
             deliveries=LazyDeliveries(
                 ids[take], rounds_started[take], staleness, self._weights(staleness)
             ),
@@ -435,19 +343,15 @@ class AsyncBufferPolicy(RoundPolicy):
             close_seconds=max(0.0, float(finishes[take[-1]]) - start),
         )
 
-    def close_vector(self, plan, fresh, carried) -> float:
+    def close_seconds_for(self, plan, fresh, carried) -> float:
         finish_by_id = {t.client_id: t.finish for t in carried}
         finish_by_id.update(
             zip(fresh.client_ids.tolist(), fresh.finishes.tolist())
         )
-        delivered = plan.deliveries
-        delivered_ids = (
-            delivered.client_ids.tolist()
-            if isinstance(delivered, LazyDeliveries)
-            else [d.client_id for d in delivered]
-        )
         finishes = [
-            finish_by_id[cid] for cid in delivered_ids if cid in finish_by_id
+            finish_by_id[cid]
+            for cid in plan.deliveries.client_ids.tolist()
+            if cid in finish_by_id
         ]
         if not finishes:
             return 0.0
@@ -555,25 +459,18 @@ class RoundPlan:
     sampled: Tuple[int, ...]
     started: Tuple[int, ...]
     busy: Tuple[int, ...]
-    deliveries: Union[Tuple[Delivery, ...], LazyDeliveries]
+    deliveries: LazyDeliveries
     stragglers: Tuple[int, ...]
     close_seconds: float
     round_seconds: float
 
     @property
     def delivered_ids(self) -> frozenset:
-        if isinstance(self.deliveries, LazyDeliveries):
-            return self.deliveries.id_set
-        return frozenset(d.client_id for d in self.deliveries)
+        return self.deliveries.id_set
 
     def delivery_weight(self, client_id: int) -> float:
         """Aggregation weight for one client (0.0 when not delivered)."""
-        if isinstance(self.deliveries, LazyDeliveries):
-            return self.deliveries.weight_for(client_id)
-        for delivery in self.deliveries:
-            if delivery.client_id == client_id:
-                return delivery.weight
-        return 0.0
+        return self.deliveries.weight_for(client_id)
 
 
 @dataclass(frozen=True)
@@ -584,7 +481,7 @@ class RoundOutcome:
     start: float
     close_seconds: float
     round_seconds: float
-    deliveries: Union[Tuple[Delivery, ...], LazyDeliveries]
+    deliveries: LazyDeliveries
     stragglers: Tuple[int, ...]
     busy: Tuple[int, ...]
     events: Tuple[Event, ...]
@@ -631,7 +528,6 @@ class FleetSimulator:
         server_overhead_seconds: float = 0.5,
         jitter: float = 0.0,
         seed: int = 0,
-        pricing: str = "vector",
     ) -> None:
         if flops_per_example <= 0 or examples_per_round <= 0:
             raise ValueError(
@@ -639,17 +535,6 @@ class FleetSimulator:
             )
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if pricing not in ("vector", "scalar"):
-            raise ValueError(
-                f"pricing must be 'vector' or 'scalar', got {pricing!r}"
-            )
-        if (
-            pricing == "vector"
-            and type(policy).decide_vector is RoundPolicy.decide_vector
-        ):
-            # A policy (e.g. third-party) without a batch path is priced on
-            # the legacy per-client loop rather than crashing mid-round.
-            pricing = "scalar"
         self.fleet = fleet
         self.policy = policy
         self.flops_per_example = flops_per_example
@@ -657,14 +542,12 @@ class FleetSimulator:
         self.server_overhead_seconds = server_overhead_seconds
         self.jitter = jitter
         self.seed = seed
-        self.pricing = pricing
         self.clock = SimClock(seed=seed)
         self.in_flight: Dict[int, ClientTimeline] = {}
         self.pending: Optional[RoundPlan] = None
         self.total_seconds = 0.0
         self.outcomes: List[RoundOutcome] = []
         self._plan_traffic: TrafficLike = {}
-        self._plan_factors: Dict[int, float] = {}
         self._plan_draws: Optional[np.ndarray] = None
 
     def fresh(self) -> "FleetSimulator":
@@ -677,56 +560,18 @@ class FleetSimulator:
             server_overhead_seconds=self.server_overhead_seconds,
             jitter=self.jitter,
             seed=self.seed,
-            pricing=self.pricing,
         )
 
     # ------------------------------------------------------------------
     # Two-phase live protocol
     # ------------------------------------------------------------------
     def _jitter_draws(self, count: int) -> Optional[np.ndarray]:
-        """One batched RNG draw per plan — both pricing modes consume the
-        same stream positions, so switching modes never shifts the seed."""
+        """One batched RNG draw per plan, one factor per started client."""
         if self.jitter <= 0.0 or count == 0:
             return None
         return self.clock.rng.uniform(
             1.0 - self.jitter, 1.0 + self.jitter, size=count
         )
-
-    def _jitter_factors(self, client_ids: Sequence[int]) -> Dict[int, float]:
-        draws = self._jitter_draws(len(client_ids))
-        if draws is None:
-            return {}
-        return {cid: float(factor) for cid, factor in zip(client_ids, draws)}
-
-    def _timelines(
-        self, round_index: int, client_ids: Sequence[int], traffic: TrafficMap
-    ) -> Tuple[ClientTimeline, ...]:
-        return build_timelines(
-            self.fleet,
-            round_index,
-            self.clock.now,
-            client_ids,
-            traffic,
-            self.flops_per_example,
-            self.examples_per_round,
-            jitter_factors=self._plan_factors,
-        )
-
-    @staticmethod
-    def _as_traffic_map(traffic: TrafficLike, client_ids: Sequence[int]) -> TrafficMap:
-        """The scalar path needs a per-client dict; expand uniform pairs."""
-        if isinstance(traffic, dict):
-            return traffic
-        upload, download = traffic
-        count = len(client_ids)
-        up = np.broadcast_to(np.asarray(upload, dtype=np.float64), (count,))
-        down = np.broadcast_to(np.asarray(download, dtype=np.float64), (count,))
-        return {
-            cid: (up_bytes, down_bytes)
-            for cid, up_bytes, down_bytes in zip(
-                client_ids, up.tolist(), down.tolist()
-            )
-        }
 
     def plan_round(
         self, round_index: int, sampled: Sequence[int], traffic: TrafficMap
@@ -757,65 +602,28 @@ class FleetSimulator:
         started = tuple(cid for cid in sampled if cid not in set(busy))
         self._plan_draws = self._jitter_draws(len(started))
         self._plan_traffic = dict(traffic) if isinstance(traffic, dict) else traffic
-        if self.pricing == "vector":
-            fresh_vec = build_round_timelines(
-                self.fleet,
-                round_index,
-                start,
-                started,
-                traffic,
-                self.flops_per_example,
-                self.examples_per_round,
-                jitter_factors=self._plan_draws,
-            )
-            carried = (
-                tuple(self.in_flight.values()) if self.policy.carries_late else ()
-            )
-            vector = self.policy.decide_vector(round_index, start, fresh_vec, carried)
-            deliveries: Union[Tuple[Delivery, ...], LazyDeliveries] = (
-                vector.deliveries
-            )
-            stragglers = vector.stragglers
-            close_seconds = vector.close_seconds
-        else:
-            self._plan_factors = (
-                {}
-                if self._plan_draws is None
-                else {
-                    cid: float(factor)
-                    for cid, factor in zip(started, self._plan_draws)
-                }
-            )
-            fresh = self._timelines(
-                round_index, started, self._as_traffic_map(traffic, started)
-            )
-            carried = (
-                tuple(self.in_flight.values()) if self.policy.carries_late else ()
-            )
-            decision = self.policy.decide(round_index, start, fresh, carried)
-            deliveries = tuple(
-                Delivery(
-                    client_id=t.client_id,
-                    round_started=t.round_index,
-                    staleness=round_index - t.round_index,
-                    weight=self.policy.weight(round_index - t.round_index),
-                )
-                for t in decision.delivered
-            )
-            stragglers = tuple(
-                t.client_id for t in decision.late if t.round_index == round_index
-            )
-            close_seconds = decision.close_seconds
+        fresh = build_round_timelines(
+            self.fleet,
+            round_index,
+            start,
+            started,
+            traffic,
+            self.flops_per_example,
+            self.examples_per_round,
+            jitter_factors=self._plan_draws,
+        )
+        carried = tuple(self.in_flight.values()) if self.policy.carries_late else ()
+        decision = self.policy.decide(round_index, start, fresh, carried)
         plan = RoundPlan(
             round_index=round_index,
             start=start,
             sampled=sampled,
             started=started,
             busy=busy,
-            deliveries=deliveries,
-            stragglers=stragglers,
-            close_seconds=close_seconds,
-            round_seconds=close_seconds + self.server_overhead_seconds,
+            deliveries=decision.deliveries,
+            stragglers=decision.stragglers,
+            close_seconds=decision.close_seconds,
+            round_seconds=decision.close_seconds + self.server_overhead_seconds,
         )
         self.pending = plan
         return plan
@@ -863,10 +671,7 @@ class FleetSimulator:
             dict(record.per_client_traffic()) if record is not None
             else self._plan_traffic
         )
-        if self.pricing == "vector":
-            close, drained = self._complete_vector(plan, traffic)
-        else:
-            close, drained = self._complete_scalar(plan, traffic)
+        close, drained = self._reprice_and_drain(plan, traffic)
         round_seconds = close + self.server_overhead_seconds
         self.clock.advance_to(plan.start + round_seconds)
         self.total_seconds += round_seconds
@@ -883,65 +688,15 @@ class FleetSimulator:
         self.outcomes.append(outcome)
         return outcome
 
-    def _complete_scalar(
+    def _reprice_and_drain(
         self, plan: RoundPlan, traffic: TrafficLike
     ) -> Tuple[float, Tuple[Event, ...]]:
-        """Legacy per-client completion: every phase becomes a clock event."""
-        fresh = self._timelines(
-            plan.round_index, plan.started, self._as_traffic_map(traffic, plan.started)
-        )
-        carried = tuple(self.in_flight.values())
-        close = self.policy.close_seconds_for(plan, fresh, carried)
-        for timeline in fresh:
-            self.clock.schedule_at(
-                timeline.download_done,
-                DOWNLOAD_DONE,
-                client_id=timeline.client_id,
-                round_index=plan.round_index,
-            )
-            self.clock.schedule_at(
-                timeline.compute_done,
-                COMPUTE_DONE,
-                client_id=timeline.client_id,
-                round_index=plan.round_index,
-            )
-            self.clock.schedule_at(
-                timeline.finish,
-                UPLOAD_DONE,
-                client_id=timeline.client_id,
-                round_index=plan.round_index,
-            )
-        drained = tuple(self.clock.pop_until(plan.start + close))
-        delivered_ids = plan.delivered_ids
-        if self.policy.carries_late:
-            for cid in delivered_ids:
-                self.in_flight.pop(cid, None)
-                # Re-pricing can push a *planned-delivered* finish past the
-                # close; its leftover events belong to this round, not the
-                # next one's trace.
-                self.clock.discard(cid)
-            for timeline in fresh:
-                if timeline.client_id not in delivered_ids:
-                    self.in_flight[timeline.client_id] = timeline
-        else:
-            # The server closed the round: every event still queued for a
-            # participant is stale — a straggler's work never lands
-            # anywhere, and a planned-delivered client whose re-priced
-            # finish slipped past the close already counted this round.
-            for timeline in fresh:
-                self.clock.discard(timeline.client_id)
-        return close, drained
-
-    def _complete_vector(
-        self, plan: RoundPlan, traffic: TrafficLike
-    ) -> Tuple[float, Tuple[Event, ...]]:
-        """Array-shaped completion: the heap holds only cross-round carries.
+        """Re-price the cohort, keep the plan's verdict, drain to the close.
 
         Per-phase events for this round's cohort are *not* scheduled — at a
-        million clients the heap would dominate the round — so the drained
-        trace contains only carried-upload events.  The close time, the
-        in-flight set and the simulated clock advance exactly as the scalar
-        path computes them.
+        million clients the heap would dominate the round — so the heap
+        holds only uploads that carry into later rounds, and the drained
+        trace contains only those.
         """
         fresh = build_round_timelines(
             self.fleet,
@@ -954,7 +709,7 @@ class FleetSimulator:
             jitter_factors=self._plan_draws,
         )
         carried = tuple(self.in_flight.values())
-        close = self.policy.close_vector(plan, fresh, carried)
+        close = self.policy.close_seconds_for(plan, fresh, carried)
         if not self.policy.carries_late:
             return close, tuple(self.clock.pop_until(plan.start + close))
         delivered_ids = plan.delivered_ids

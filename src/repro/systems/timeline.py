@@ -8,22 +8,25 @@ the paper's conv-FLOP convention scaled by local passes (forward +
 backward ≈ 3× the inference FLOPs per example); the callers derive
 ``flops_per_example`` from the :mod:`repro.federated.accounting` module.
 
-Bit-for-bit parity note: :attr:`ClientTimeline.duration` sums the phases
-in the exact order :meth:`WallClockModel.client_round_seconds
-<repro.federated.simulation.WallClockModel.client_round_seconds>` uses
-(``compute + up + down``), so the synchronous round policy reproduces the
-legacy model's totals to the last bit — a property the regression tests
-pin.
+:func:`build_round_timelines` prices a whole cohort at once as a
+:class:`RoundTimelines` struct of arrays; :class:`ClientTimeline` is the
+per-client view of one entry (the in-flight carry set and the serving
+layer's dispatch pacing read it).
+
+Summation-order note: durations sum the phases as ``compute + up +
+down``.  Floating-point addition is not associative, so this order is
+part of the output — it fixes every simulated second already recorded in
+histories and result stores, and must not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fleet import DeviceProfile, Fleet
+from .fleet import Fleet
 
 #: ``client_id -> (uploaded_bytes, downloaded_bytes)`` for one round.
 TrafficMap = Dict[int, Tuple[float, float]]
@@ -48,7 +51,7 @@ class ClientTimeline:
 
     @property
     def duration(self) -> float:
-        """Total local seconds, summed in the legacy model's order."""
+        """Total local seconds (``compute + up + down``, see the module note)."""
         return self.compute_seconds + self.upload_seconds + self.download_seconds
 
     @property
@@ -60,102 +63,14 @@ class ClientTimeline:
     def download_done(self) -> float:
         return self.start + self.download_seconds
 
-    @property
-    def compute_done(self) -> float:
-        return self.start + self.download_seconds + self.compute_seconds
-
-
-def phase_seconds(
-    profile: DeviceProfile,
-    upload_bytes: float,
-    download_bytes: float,
-    flops_per_example: float,
-    examples_per_round: float,
-    jitter_factor: float = 1.0,
-    *,
-    upload_bytes_per_second: Optional[float] = None,
-) -> Tuple[float, float, float]:
-    """(download, compute, upload) seconds for one client's round.
-
-    A backward pass costs about twice the forward pass, so each training
-    example is priced at 3× the inference FLOPs.  ``jitter_factor``
-    scales every phase (1.0 = the deterministic baseline; the simulator
-    draws per-(round, client) factors from its seeded clock RNG).
-    ``upload_bytes_per_second`` overrides the profile's device uplink —
-    hierarchical fleets pass the contended regional share here.
-    """
-    compute = (
-        3.0 * flops_per_example * examples_per_round
-    ) / profile.flops_per_second
-    upload_rate = (
-        profile.upload_bytes_per_second
-        if upload_bytes_per_second is None
-        else upload_bytes_per_second
-    )
-    up = upload_bytes / upload_rate
-    down = download_bytes / profile.download_bytes_per_second
-    if jitter_factor != 1.0:
-        compute *= jitter_factor
-        up *= jitter_factor
-        down *= jitter_factor
-    return down, compute, up
-
-
-def build_timelines(
-    fleet: Fleet,
-    round_index: int,
-    start: float,
-    client_ids: Sequence[int],
-    traffic: TrafficMap,
-    flops_per_example: float,
-    examples_per_round: float,
-    jitter_factors: Dict[int, float] | None = None,
-) -> Tuple[ClientTimeline, ...]:
-    """Timelines for every starting client, in the given (sampled) order.
-
-    Clients missing from ``traffic`` are priced at zero bytes — they still
-    pay their compute time, which is what a metering gap should look like
-    rather than a crash.
-    """
-    factors = jitter_factors or {}
-    client_ids = tuple(client_ids)
-    # Effective uplinks come from the fleet so shared-link contention
-    # (HierarchicalFleet) prices identically in scalar and vector modes;
-    # for plain fleets these are exactly the profiles' device rates.
-    upload_rates = fleet.upload_rates(client_ids) if client_ids else ()
-    timelines = []
-    for position, client_id in enumerate(client_ids):
-        upload_bytes, download_bytes = traffic.get(client_id, (0.0, 0.0))
-        down, compute, up = phase_seconds(
-            fleet.profile_for(client_id),
-            upload_bytes,
-            download_bytes,
-            flops_per_example,
-            examples_per_round,
-            jitter_factor=factors.get(client_id, 1.0),
-            upload_bytes_per_second=float(upload_rates[position]),
-        )
-        timelines.append(
-            ClientTimeline(
-                client_id=client_id,
-                round_index=round_index,
-                start=start,
-                download_seconds=down,
-                compute_seconds=compute,
-                upload_seconds=up,
-            )
-        )
-    return tuple(timelines)
-
 
 class RoundTimelines:
     """Struct-of-arrays timelines for one round's whole cohort.
 
-    The vectorized twin of a ``tuple`` of :class:`ClientTimeline`: the
-    simulator's hot path reads the arrays directly (three vector
-    expressions price a million clients), while :meth:`view` materializes
-    a single :class:`ClientTimeline` on demand for the per-event machinery
-    that survives only on the cross-round async-carry path.
+    The simulator reads the arrays directly (three vector expressions
+    price a million clients), while :meth:`view` materializes a single
+    :class:`ClientTimeline` on demand for the cross-round async carry set
+    and the serving layer's dispatch pacing.
     """
 
     __slots__ = (
@@ -184,8 +99,7 @@ class RoundTimelines:
         self.download_seconds = download_seconds
         self.compute_seconds = compute_seconds
         self.upload_seconds = upload_seconds
-        # Same summation order as ClientTimeline.duration / the legacy
-        # WallClockModel (compute + up + down) — bit-for-bit parity.
+        # Same summation order as ClientTimeline.duration (module note).
         self.durations = compute_seconds + upload_seconds + download_seconds
         self.finishes = start + self.durations
 
@@ -205,9 +119,6 @@ class RoundTimelines:
             compute_seconds=float(self.compute_seconds[position]),
             upload_seconds=float(self.upload_seconds[position]),
         )
-
-    def __iter__(self) -> Iterator[ClientTimeline]:
-        return (self.view(position) for position in range(len(self)))
 
 
 def _traffic_arrays(
@@ -241,15 +152,17 @@ def build_round_timelines(
     traffic: TrafficLike,
     flops_per_example: float,
     examples_per_round: float,
-    jitter_factors: Optional[Union[np.ndarray, Dict[int, float]]] = None,
+    jitter_factors: Optional[np.ndarray] = None,
 ) -> RoundTimelines:
-    """Vectorized :func:`build_timelines`: one cohort, three array expressions.
+    """Timelines for every starting client, in the given (sampled) order.
 
-    Produces bit-identical phase durations to the scalar path — same
-    division operands in the same order, elementwise — for any fleet,
-    including hierarchical uplink contention.  ``jitter_factors`` may be an
-    array aligned with ``client_ids`` (the simulator's draw order) or the
-    scalar path's ``{client_id: factor}`` dict.
+    A backward pass costs about twice the forward pass, so each training
+    example is priced at 3× the inference FLOPs.  Uplinks come from
+    :meth:`Fleet.upload_rates <repro.systems.fleet.Fleet.upload_rates>`, so
+    hierarchical fleets price shared-cell contention.  Clients missing
+    from a ``traffic`` map are priced at zero bytes — they still pay their
+    compute time.  ``jitter_factors`` (aligned with ``client_ids``, the
+    simulator's draw order) scales every phase of each client.
     """
     ids = np.asarray(client_ids, dtype=np.int64)
     upload_bytes, download_bytes = _traffic_arrays(traffic, ids)
@@ -259,15 +172,7 @@ def build_round_timelines(
     up = upload_bytes / upload_rates
     down = download_bytes / download_rates
     if jitter_factors is not None:
-        if isinstance(jitter_factors, dict):
-            factors = np.array(
-                [jitter_factors.get(cid, 1.0) for cid in ids.tolist()],
-                dtype=np.float64,
-            )
-        else:
-            factors = np.asarray(jitter_factors, dtype=np.float64)
-        # x * 1.0 is exact for finite floats, so unconditional multiply
-        # matches the scalar path's `if factor != 1.0` guard bit-for-bit.
+        factors = np.asarray(jitter_factors, dtype=np.float64)
         compute = compute * factors
         up = up * factors
         down = down * factors

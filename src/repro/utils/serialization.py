@@ -54,11 +54,21 @@ def history_to_dict(history: History) -> Dict:
     }
 
 
+def _round_record(fields: Dict) -> RoundRecord:
+    fields = dict(fields)
+    # Histories written before simulated time had one name stored it as
+    # ``wall_clock_seconds``; it carries the same simulated seconds.
+    legacy_seconds = fields.pop("wall_clock_seconds", None)
+    if fields.get("simulated_seconds") is None and legacy_seconds is not None:
+        fields["simulated_seconds"] = legacy_seconds
+    return RoundRecord(**fields)
+
+
 def history_from_dict(payload: Dict) -> History:
     """Inverse of :func:`history_to_dict`; the round trip is exact."""
     history = History(algorithm=payload["algorithm"])
     for record in payload["rounds"]:
-        history.rounds.append(RoundRecord(**record))
+        history.rounds.append(_round_record(record))
     history.final_accuracy = payload["final_accuracy"]
     history.final_per_client_accuracy = {
         int(cid): acc for cid, acc in payload["final_per_client_accuracy"].items()

@@ -18,7 +18,7 @@ from repro.experiments import (
     run_sweep,
     smoke_spec,
 )
-from repro.federated import Federation, FederationConfig
+from repro.federated import Federation, FederationConfig, SystemsConfig
 from repro.pruning import UnstructuredConfig
 
 
@@ -40,6 +40,27 @@ def tiny_config(**overrides) -> FederationConfig:
 
 def tiny_cell(key="cell", **overrides) -> SweepCell:
     return SweepCell(key=key, config=tiny_config(**overrides))
+
+
+FLEET_CELL = dict(
+    systems=SystemsConfig(
+        round_policy="deadline", deadline_seconds=1.0,
+        flops_per_example=1e6, examples_per_round=100.0,
+    )
+)
+
+
+def _write_compute_section(payload):
+    """What every store cell carried while configs had a compute section."""
+    payload["config"]["compute"] = {"engine": "eager", "runtime": "numpy", "fusion": True}
+
+
+def _write_pricing_fields(payload):
+    """What every fleet store cell carried while ``systems.pricing`` and
+    ``RoundRecord.wall_clock_seconds`` existed."""
+    payload["config"]["systems"]["pricing"] = "vector"
+    for record in payload["history"]["rounds"]:
+        record["wall_clock_seconds"] = None
 
 
 class TestSpecExpansion:
@@ -264,20 +285,29 @@ class TestResume:
         assert result.executed == [cell.key]
         assert result[cell.key].ok
 
-    def test_store_cell_with_removed_compute_section_still_resumes(self, tmp_path):
-        """Stores written while configs carried ``compute: {engine: eager}``
-        load with their original hash instead of silently recomputing."""
+    @pytest.mark.parametrize(
+        "overrides, write_removed_fields",
+        [({}, _write_compute_section), (FLEET_CELL, _write_pricing_fields)],
+        ids=["compute-section", "pricing-fields"],
+    )
+    def test_store_cell_with_removed_fields_still_resumes(
+        self, tmp_path, overrides, write_removed_fields
+    ):
+        """Stores written while configs or records carried fields that were
+        since removed load under their original hash instead of silently
+        recomputing."""
         store = ResultStore(tmp_path)
-        cell = tiny_cell()
-        run_sweep([cell], store=store)
+        cell = tiny_cell(**overrides)
+        first = run_sweep([cell], store=store)
         path = store.path_for(cell.config_hash)
         payload = json.loads(path.read_text())
-        payload["config"]["compute"] = {"engine": "eager", "runtime": "numpy", "fusion": True}
+        write_removed_fields(payload)
         path.write_text(json.dumps(payload))
         loaded = store.load(cell.config_hash)
         assert loaded is not None
         assert loaded.config_hash == cell.config_hash
         assert loaded.config.stable_hash() == cell.config_hash
+        assert loaded.history == first[cell.key].history
         resumed = run_sweep([cell], store=store)
         assert resumed.executed == [] and resumed.reused == [cell.key]
 

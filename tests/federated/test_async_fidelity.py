@@ -23,7 +23,7 @@ from repro.federated import (
     model_factory,
 )
 from repro.federated.trainers.fedavg import FedAvg
-from repro.systems import Delivery, RoundPlan
+from repro.systems import Delivery, LazyDeliveries, RoundPlan
 
 
 def tiny_config(**overrides):
@@ -43,13 +43,17 @@ def tiny_config(**overrides):
 
 
 def plan(round_index, started, deliveries, busy=(), stragglers=()):
+    deliveries = tuple(deliveries)
+    columns = ("client_id", "round_started", "staleness", "weight")
     return RoundPlan(
         round_index=round_index,
         start=0.0,
         sampled=tuple(started) + tuple(busy),
         started=tuple(started),
         busy=tuple(busy),
-        deliveries=tuple(deliveries),
+        deliveries=LazyDeliveries(
+            *([getattr(d, name) for d in deliveries] for name in columns)
+        ),
         stragglers=tuple(stragglers),
         close_seconds=1.0,
         round_seconds=1.5,

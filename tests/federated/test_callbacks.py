@@ -9,17 +9,15 @@ from repro.federated import (
     CallbackList,
     CheckpointCallback,
     EarlyStopping,
-    EDGE_PHONE,
     Federation,
     FederationConfig,
     LocalTrainConfig,
     ProgressLogger,
-    WallClockCallback,
-    WallClockModel,
+    SystemsConfig,
 )
 
 
-def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg"):
+def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg", systems=None):
     config = FederationConfig(
         dataset="mnist",
         algorithm=algorithm,
@@ -31,6 +29,7 @@ def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg"):
         seed=0,
         eval_every=eval_every,
         local=LocalTrainConfig(epochs=1, batch_size=10),
+        systems=systems,
     )
     return Federation.from_config(config)
 
@@ -181,16 +180,20 @@ class TestBuiltins:
         assert "round 1/2" not in out
         assert "round 2/2" in out
 
-    def test_wall_clock_annotates_records(self):
-        model = WallClockModel(
-            [EDGE_PHONE], flops_per_example=1e6, examples_per_round=40
+    def test_progress_logger_prints_simulated_time(self):
+        """The automatic fleet callback runs first, so every round line
+        carries the round's simulated seconds."""
+        stream = io.StringIO()
+        systems = SystemsConfig(flops_per_example=1e6, examples_per_round=40.0)
+        history = tiny_federation(rounds=2, systems=systems).run(
+            callbacks=[ProgressLogger(stream=stream)]
         )
-        watcher = WallClockCallback(model)
-        history = tiny_federation(rounds=2).run(callbacks=[watcher])
-        assert len(watcher.round_seconds) == 2
-        assert watcher.total_seconds == pytest.approx(sum(watcher.round_seconds))
-        for record in history.rounds:
-            assert record.wall_clock_seconds == model.round_seconds(record)
+        lines = [
+            line for line in stream.getvalue().splitlines() if line.startswith("round ")
+        ]
+        assert len(lines) == 2
+        for line, record in zip(lines, history.rounds):
+            assert f"t={record.simulated_seconds:.1f}s" in line
 
     def test_checkpoint_callback_resumes(self, tmp_path):
         path = tmp_path / "ckpt.pkl"

@@ -1,5 +1,7 @@
 """Checkpoint/resume for long runs."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,24 @@ class TestRunWithCheckpoints:
         trainer = make_trainer(make_config())
         with pytest.raises(ValueError):
             run_with_checkpoints(trainer, tmp_path / "x.pkl", every=0)
+
+    def test_resumes_a_history_with_wall_clock_seconds(self, tmp_path):
+        """Checkpoints pickled before ``wall_clock_seconds`` was folded into
+        ``simulated_seconds`` still resume, keeping their seconds."""
+        path = tmp_path / "ckpt.pkl"
+        run_with_checkpoints(make_trainer(make_config(rounds=2)), path, every=1)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        history = payload["history"]
+        history["final_per_client_accuracy"] = {
+            int(cid): acc for cid, acc in history["final_per_client_accuracy"].items()
+        }
+        for seconds, record in zip((1.25, 2.5), history["rounds"]):
+            record.update(simulated_seconds=None, wall_clock_seconds=seconds)
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+
+        resumed = make_trainer(make_config(rounds=4))
+        result = run_with_checkpoints(resumed, path, every=1)
+        assert [r.round_index for r in result.rounds] == [1, 2, 3, 4]
+        assert [r.simulated_seconds for r in result.rounds[:2]] == [1.25, 2.5]

@@ -10,6 +10,7 @@ from repro.federated import (
     FederationConfig,
     LocalTrainConfig,
     ScenarioConfig,
+    SystemsConfig,
 )
 from repro.pruning import StructuredConfig, UnstructuredConfig
 
@@ -169,6 +170,24 @@ class TestLegacyConfigMigration:
             dataset="mnist", algorithm="fedavg", num_clients=4, rounds=1, seed=0
         )
         assert config.stable_hash() == "70451bccff9b90c5"
+
+    def test_systems_config_hash_pinned(self):
+        """A fleet-simulation config keeps the hash its result stores were
+        keyed by while ``systems.pricing`` existed; a stored ``pricing``
+        value (either mode priced identically) is dropped on load."""
+        config = FederationConfig(
+            dataset="mnist", algorithm="fedavg", num_clients=6, rounds=2,
+            seed=0, n_train=240, n_test=120,
+            systems=SystemsConfig(
+                round_policy="deadline", deadline_seconds=1.0,
+                flops_per_example=1e6, examples_per_round=100.0,
+            ),
+        )
+        assert config.stable_hash() == "420ffca76e6a70a9"
+        for pricing in ("vector", "scalar"):
+            payload = config.to_dict()
+            payload["systems"]["pricing"] = pricing
+            assert FederationConfig.from_dict(payload) == config
 
     def test_new_scenario_fields_do_change_the_hash(self):
         base = tiny_config()

@@ -18,7 +18,7 @@ from repro.federated import (
     sampler_specs,
     unregister_sampler,
 )
-from repro.federated.simulation import EDGE_PHONE, RASPBERRY_PI, WallClockModel
+from repro.systems import EDGE_PHONE, RASPBERRY_PI, Fleet
 
 
 class TestSamplerRegistry:
@@ -194,16 +194,16 @@ class TestAvailabilitySampler:
         assert counts[2] < 50 and counts[3] < 50
 
     def test_device_profiles_assigned_round_robin(self):
-        """Profile-derived probabilities follow WallClockModel's client map."""
+        """Profile-derived probabilities follow the fleet's client map."""
         profiles = [EDGE_PHONE, RASPBERRY_PI]
         sampler = AvailabilitySampler(
             6, sample_fraction=1.0, seed=0,
             profiles=profiles,
             profile_participation={"edge-phone": 0.9, "raspberry-pi": 0.2},
         )
-        clock = WallClockModel(profiles, flops_per_example=1e6, examples_per_round=10)
+        fleet = Fleet(cycle=tuple(profiles))
         for client_id in range(6):
-            expected = 0.9 if clock.profile_for(client_id).name == "edge-phone" else 0.2
+            expected = 0.9 if fleet.profile_for(client_id).name == "edge-phone" else 0.2
             assert sampler.participation_probs[client_id] == expected
 
     def test_invalid_arguments(self):

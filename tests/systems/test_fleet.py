@@ -2,19 +2,39 @@
 
 import pytest
 
-from repro.federated import AvailabilitySampler, ScenarioConfig, WallClockModel
+from repro.federated import AvailabilitySampler, ScenarioConfig
 from repro.systems import (
     DEVICE_PROFILES,
     EDGE_PHONE,
     RASPBERRY_PI,
     WORKSTATION,
+    DeviceProfile,
     Fleet,
     available_fleets,
     build_fleet,
+    build_round_timelines,
     get_fleet,
     register_fleet,
     unregister_fleet,
 )
+
+
+class TestDeviceProfile:
+    def test_defaults_match_paper_uplink(self):
+        assert EDGE_PHONE.upload_bytes_per_second == 1e6  # §4.2.2: ~1 MB/s
+
+    def test_invalid_rates_rejected(self):
+        with pytest.raises(ValueError):
+            DeviceProfile(flops_per_second=0)
+        with pytest.raises(ValueError):
+            DeviceProfile(upload_bytes_per_second=-1)
+
+    def test_builtin_profiles_ordered_by_speed(self):
+        assert (
+            RASPBERRY_PI.flops_per_second
+            < EDGE_PHONE.flops_per_second
+            < WORKSTATION.flops_per_second
+        )
 
 
 class TestFleet:
@@ -132,19 +152,14 @@ class TestScenarioWiring:
 class TestSharedAssignment:
     """The satellite: one Fleet feeds both pricing and availability."""
 
-    def test_wall_clock_model_delegates_to_the_fleet(self):
-        profiles = (EDGE_PHONE, WORKSTATION)
-        model = WallClockModel(
-            profiles, flops_per_example=1e6, examples_per_round=100
-        )
-        fleet = Fleet(cycle=profiles)
+    def test_round_pricing_follows_the_fleet_assignment(self):
+        fleet = Fleet(cycle=(EDGE_PHONE, WORKSTATION))
+        timelines = build_round_timelines(fleet, 1, 0.0, range(6), {}, 1e6, 100)
         for client_id in range(6):
-            assert model.profile_for(client_id) is fleet.profile_for(client_id)
-
-    def test_wall_clock_model_accepts_a_fleet_directly(self):
-        fleet = Fleet(cycle=(RASPBERRY_PI,))
-        model = WallClockModel(fleet, flops_per_example=1e6, examples_per_round=10)
-        assert model.profile_for(0) is RASPBERRY_PI
+            profile = fleet.profile_for(client_id)
+            assert timelines.compute_seconds[client_id] == (
+                3e8 / profile.flops_per_second
+            )
 
     def test_availability_sampler_consumes_the_same_fleet(self):
         fleet = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
@@ -171,8 +186,8 @@ class TestSharedAssignment:
         assert sampler.participation_probs[1] == pytest.approx(0.3)
         assert sampler.participation_probs[3] == pytest.approx(0.3)
 
-    def test_device_profiles_reexported_from_simulation(self):
-        from repro.federated import simulation
+    def test_device_profiles_reexported_from_federated(self):
+        import repro.federated as federated
 
-        assert simulation.DEVICE_PROFILES is DEVICE_PROFILES
-        assert simulation.EDGE_PHONE is EDGE_PHONE
+        assert federated.DEVICE_PROFILES is DEVICE_PROFILES
+        assert federated.EDGE_PHONE is EDGE_PHONE

@@ -13,10 +13,9 @@ from repro.federated import (
     FleetSimCallback,
     ScenarioConfig,
     SystemsConfig,
-    WallClockModel,
 )
 from repro.federated.builder import build_fleet_simulator
-from repro.systems import SimClock
+from repro.systems import FleetSimulator, SimClock, SynchronousPolicy
 from repro.systems.report import (
     simulated_time_curve,
     simulated_time_to_accuracy,
@@ -228,9 +227,10 @@ class TestPerClientTraffic:
                 record.downloaded_bytes
             )
 
-    def test_wall_clock_model_prices_per_client_when_available(self):
-        model = WallClockModel(
-            SCENARIO.build_fleet(4), flops_per_example=1e6, examples_per_round=100
+    def test_simulator_prices_per_client_when_available(self):
+        simulator = FleetSimulator(
+            SCENARIO.build_fleet(4), SynchronousPolicy(),
+            flops_per_example=1e6, examples_per_round=100,
         )
         from repro.federated import RoundRecord
 
@@ -246,7 +246,10 @@ class TestPerClientTraffic:
         )
         # The slow Pi (id 1) carries most of the bytes, so the skewed
         # round is strictly slower than the even-split approximation.
-        assert model.round_seconds(skewed) > model.round_seconds(even_split)
+        assert (
+            simulator.fresh().observe(skewed).round_seconds
+            > simulator.fresh().observe(even_split).round_seconds
+        )
 
     def test_history_serialization_roundtrips_new_fields(self):
         result = run(

@@ -7,7 +7,6 @@ from repro.federated import (
     History,
     RASPBERRY_PI,
     RoundRecord,
-    WallClockModel,
 )
 from repro.systems import (
     AsyncBufferPolicy,
@@ -18,7 +17,8 @@ from repro.systems import (
     SystemsConfig,
     UPLOAD_DONE,
     build_round_policy,
-    build_timelines,
+    build_round_timelines,
+    compare_simulated_time_to_accuracy,
 )
 
 TWO_TIER = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
@@ -57,25 +57,30 @@ def simulator(policy, fleet=TWO_TIER, **kwargs):
     return FleetSimulator(fleet, policy, **defaults)
 
 
-class TestSynchronousParity:
-    """The pinned regression: sync policy == legacy WallClockModel, bitwise."""
+def slowest_client_plus_overhead(traffic, overhead=0.5, fleet=TWO_TIER):
+    """The synchronous round price spelled out per client: the slowest
+    ``compute + up + down`` (in that summation order) plus server overhead."""
 
-    def legacy_model(self, overhead=0.5):
-        return WallClockModel(
-            (EDGE_PHONE, RASPBERRY_PI),
-            flops_per_example=1e6,
-            examples_per_round=100,
-            server_overhead_seconds=overhead,
+    def client_seconds(client_id, up, down):
+        profile = fleet.profile_for(client_id)
+        compute = (3.0 * 1e6 * 100) / profile.flops_per_second
+        return (
+            compute
+            + up / profile.upload_bytes_per_second
+            + down / profile.download_bytes_per_second
         )
 
-    def test_even_split_history_matches_bit_for_bit(self):
-        run = history(
-            [record(i, clients=[0, 1, 2], up=2e6, down=3e6) for i in range(1, 6)]
-        )
-        report = simulator(SynchronousPolicy()).simulate(run)
-        assert report.total_seconds == self.legacy_model().total_seconds(run)
+    return (
+        max(client_seconds(cid, up, down) for cid, (up, down) in traffic.items())
+        + overhead
+    )
 
-    def test_per_client_traffic_history_matches_bit_for_bit(self):
+
+class TestSynchronousPricing:
+    """A synchronous round is its slowest client plus overhead, bitwise."""
+
+    @pytest.mark.parametrize("overhead", [0.0, 0.5, 2.0])
+    def test_per_client_traffic_prices_the_slowest_client(self, overhead):
         per_client = {0: (4e5, 1e6), 1: (3.7e6, 2e6), 5: (9e5, 1.5e6)}
         run = history(
             [
@@ -84,20 +89,66 @@ class TestSynchronousParity:
                 )
             ]
         )
+        report = simulator(
+            SynchronousPolicy(), server_overhead_seconds=overhead
+        ).simulate(run)
+        assert report.total_seconds == slowest_client_plus_overhead(
+            per_client, overhead
+        )
+
+    def test_even_split_fallback_without_per_client_bytes(self):
+        run = history(
+            [record(i, clients=[0, 1, 2], up=2e6, down=3e6) for i in range(1, 6)]
+        )
         report = simulator(SynchronousPolicy()).simulate(run)
-        assert report.total_seconds == self.legacy_model().total_seconds(run)
+        even_split = {cid: (2e6 / 3, 3e6 / 3) for cid in (0, 1, 2)}
+        assert report.round_seconds == [slowest_client_plus_overhead(even_split)] * 5
+        assert report.total_seconds == sum(report.round_seconds)
 
     def test_per_round_seconds_match_too(self):
         run = history([record(1, clients=[0, 3]), record(2, clients=[1])])
         report = simulator(SynchronousPolicy()).simulate(run)
-        model = self.legacy_model()
         for outcome, rec in zip(report.outcomes, run.rounds):
-            assert outcome.round_seconds == model.round_seconds(rec)
+            assert outcome.round_seconds == slowest_client_plus_overhead(
+                rec.per_client_traffic()
+            )
+
+    def test_cheaper_uplink_means_faster_rounds(self):
+        """Sub-FedAvg's smaller exchanges translate to simulated-time wins."""
+        dense = simulator(SynchronousPolicy()).simulate(
+            history([record(1, clients=[0, 1], up=4e6, down=4e6)])
+        )
+        sparse = simulator(SynchronousPolicy()).simulate(
+            history([record(1, clients=[0, 1], up=2e6, down=2e6)])
+        )
+        assert sparse.total_seconds < dense.total_seconds
+
+    def test_time_to_accuracy_reached_or_never(self):
+        def priced(accuracies):
+            run = history(
+                [record(i, clients=[0, 1], accuracy=a) for i, a in enumerate(accuracies, 1)]
+            )
+            report = simulator(SynchronousPolicy()).simulate(run)
+            for rec, seconds in zip(run.rounds, report.round_seconds):
+                rec.simulated_seconds = seconds
+            return run, report
+
+        run, report = priced((0.3, 0.6, 0.9))
+        assert report.time_to_accuracy(run, 0.55) == sum(report.round_seconds[:2])
+        assert report.time_to_accuracy(run, 0.99) is None
+        curves = {"fast": (0.9,), "slow": (0.1, 0.9), "never": (0.1,)}
+        table = compare_simulated_time_to_accuracy(
+            {name: priced(curve)[0] for name, curve in curves.items()}, target=0.8
+        )
+        assert table["fast"] < table["slow"]
+        assert table["never"] is None
 
     def test_no_stragglers_under_synchrony(self):
         run = history([record(1, clients=[0, 1, 2, 3])])
         report = simulator(SynchronousPolicy()).simulate(run)
         assert report.total_stragglers == 0
+        # Per-phase events are never scheduled for this round's cohort.
+        assert report.trace == ()
 
 
 class TestDeadlinePolicy:
@@ -209,21 +260,15 @@ class TestDeterminism:
         assert a.round_seconds == b.round_seconds
         assert a.round_seconds != c.round_seconds
 
-    def test_upload_events_drain_in_arrival_order(self):
-        # Scalar pricing schedules one event per client phase; the vector
-        # path keeps the heap for cross-round carries only.
-        run = history([record(1, clients=[0, 1, 2, 3])])
-        report = simulator(SynchronousPolicy(), pricing="scalar").simulate(run)
+    def test_carried_upload_events_drain_in_arrival_order(self):
+        # Only uploads carried across rounds are scheduled on the heap.
+        run = history(
+            [record(i, clients=[0, 1, 2, 3], up=1.6e6, down=1.6e6) for i in range(1, 5)]
+        )
+        report = simulator(AsyncBufferPolicy(buffer_size=1)).simulate(run)
         uploads = [e for e in report.trace if e.kind == UPLOAD_DONE]
-        assert len(uploads) == 4
+        assert uploads
         assert [e.time for e in uploads] == sorted(e.time for e in uploads)
-
-    def test_vector_pricing_drops_per_phase_events(self):
-        run = history([record(1, clients=[0, 1, 2, 3])])
-        vector = simulator(SynchronousPolicy()).simulate(run)
-        scalar = simulator(SynchronousPolicy(), pricing="scalar").simulate(run)
-        assert vector.trace == ()
-        assert vector.round_seconds == scalar.round_seconds
 
 
 class TestEngineProtocol:
@@ -243,7 +288,7 @@ class TestEngineProtocol:
     def test_repriced_late_delivery_leaves_no_stale_events(self):
         """A planned-delivered client whose actual bytes push its finish
         past the close must not leak events into the next round's trace."""
-        engine = simulator(DeadlinePolicy(1.0), pricing="scalar")
+        engine = simulator(DeadlinePolicy(1.0))
         # Estimate says client 0 (phone) makes the deadline easily...
         engine.plan_round(1, [0], {0: (1e5, 1e5)})
         # ...but the recorded actuals blow way past it.
@@ -280,7 +325,7 @@ class TestEngineProtocol:
 
 class TestTimelines:
     def test_phases_priced_from_profile_rates(self):
-        (timeline,) = build_timelines(
+        timeline = build_round_timelines(
             Fleet(cycle=(EDGE_PHONE,)),
             round_index=1,
             start=0.0,
@@ -288,14 +333,14 @@ class TestTimelines:
             traffic={0: (1e6, 8e6)},
             flops_per_example=1e6,
             examples_per_round=100,
-        )
+        ).view(0)
         assert timeline.upload_seconds == pytest.approx(1.0)  # 1 MB at 1 MB/s
         assert timeline.download_seconds == pytest.approx(1.0)  # 8 MB at 8 MB/s
         assert timeline.compute_seconds == pytest.approx(0.3)
         assert timeline.finish == pytest.approx(2.3)
 
     def test_missing_traffic_prices_compute_only(self):
-        (timeline,) = build_timelines(
+        timeline = build_round_timelines(
             Fleet(cycle=(EDGE_PHONE,)),
             round_index=1,
             start=0.0,
@@ -303,6 +348,6 @@ class TestTimelines:
             traffic={},
             flops_per_example=1e6,
             examples_per_round=100,
-        )
+        ).view(0)
         assert timeline.upload_seconds == 0.0
         assert timeline.duration == pytest.approx(0.3)

@@ -1,12 +1,5 @@
-"""Vectorized round pricing: the numpy batch path vs the scalar loop.
-
-The contract under test is *bit-for-bit* equivalence: a simulator built
-with ``pricing="vector"`` (the default) must produce exactly the plans,
-outcomes, clock positions and in-flight sets of the legacy per-client
-scalar path — same floats, not approximately-same floats — and a
-federation backed by a :class:`~repro.federated.pool.ClientPool` must
-reproduce eager-client histories exactly, evictions and all.
-"""
+"""Array round pricing: cohort timelines, lazy deliveries, policy contract,
+hierarchical uplink contention and the hash of the ``systems`` section."""
 
 import numpy as np
 import pytest
@@ -21,39 +14,16 @@ from repro.federated import (
     WORKSTATION,
 )
 from repro.systems import (
-    AsyncBufferPolicy,
-    DeadlinePolicy,
     Fleet,
     FleetSimulator,
     HierarchicalFleet,
     LazyDeliveries,
     RoundPolicy,
-    SynchronousPolicy,
     build_round_timelines,
-    build_timelines,
 )
 from repro.systems.rounds import Delivery
 
 THREE_TIER = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI, WORKSTATION))
-
-POLICIES = {
-    "synchronous": lambda: SynchronousPolicy(),
-    "deadline": lambda: DeadlinePolicy(2.0),
-    "async-buffer": lambda: AsyncBufferPolicy(buffer_size=2),
-}
-
-
-def build_simulator(policy_factory, pricing, jitter=0.0, fleet=THREE_TIER):
-    return FleetSimulator(
-        fleet,
-        policy_factory(),
-        flops_per_example=1e6,
-        examples_per_round=100,
-        server_overhead_seconds=0.5,
-        jitter=jitter,
-        seed=7,
-        pricing=pricing,
-    )
 
 
 def traffic_for(cohort):
@@ -61,94 +31,19 @@ def traffic_for(cohort):
     return {cid: (1e6 + cid * 3e5, 2e6 + cid * 1e5) for cid in cohort}
 
 
-#: Overlapping cohorts so async rounds carry work across boundaries.
-COHORTS = [(0, 1, 2, 3), (2, 3, 4, 5), (0, 4, 5, 6), (1, 2, 6, 7), (0, 1, 2, 3)]
-
-
-def drive(simulator):
-    """Plan + complete the fixed cohort schedule; return all plans/outcomes."""
-    plans, outcomes = [], []
-    for round_index, cohort in enumerate(COHORTS, start=1):
-        plans.append(
-            simulator.plan_round(round_index, cohort, traffic_for(cohort))
-        )
-        outcomes.append(simulator.complete_round(None))
-    return plans, outcomes
-
-
-@pytest.mark.parametrize("jitter", [0.0, 0.2], ids=["no-jitter", "jitter"])
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-class TestVectorScalarParity:
-    def test_plans_and_outcomes_identical(self, policy, jitter):
-        vector = build_simulator(POLICIES[policy], "vector", jitter=jitter)
-        scalar = build_simulator(POLICIES[policy], "scalar", jitter=jitter)
-        assert vector.pricing == "vector" and scalar.pricing == "scalar"
-        vec_plans, vec_outcomes = drive(vector)
-        sca_plans, sca_outcomes = drive(scalar)
-        for vec, sca in zip(vec_plans, sca_plans):
-            assert vec.started == sca.started
-            assert vec.busy == sca.busy
-            assert vec.stragglers == sca.stragglers
-            # LazyDeliveries compares elementwise against Delivery tuples.
-            assert vec.deliveries == sca.deliveries
-            assert vec.close_seconds == sca.close_seconds
-            assert vec.round_seconds == sca.round_seconds
-        for vec, sca in zip(vec_outcomes, sca_outcomes):
-            assert vec.close_seconds == sca.close_seconds
-            assert vec.round_seconds == sca.round_seconds
-        # Same clock, same totals, same carried in-flight set — bitwise.
-        assert vector.clock.now == scalar.clock.now
-        assert vector.total_seconds == scalar.total_seconds
-        assert sorted(vector.in_flight) == sorted(scalar.in_flight)
-        for cid, timeline in vector.in_flight.items():
-            assert timeline.finish == scalar.in_flight[cid].finish
-
-    def test_jitter_streams_share_rng_positions(self, policy, jitter):
-        """Both modes must consume identical RNG positions per plan, so
-        interleaving modes (or switching mid-run via fresh()) never shifts
-        the seed for later rounds."""
-        vector = build_simulator(POLICIES[policy], "vector", jitter=jitter)
-        scalar = build_simulator(POLICIES[policy], "scalar", jitter=jitter)
-        drive(vector)
-        drive(scalar)
-        assert (
-            vector.clock.rng.bit_generator.state
-            == scalar.clock.rng.bit_generator.state
-        )
-
-
 class TestRoundTimelines:
-    def test_batch_timelines_match_scalar_bitwise(self):
-        cohort = tuple(range(17))
-        traffic = traffic_for(cohort)
-        batch = build_round_timelines(
-            THREE_TIER, 3, 12.5, cohort, traffic, 1e6, 100.0
-        )
-        scalar = build_timelines(THREE_TIER, 3, 12.5, cohort, traffic, 1e6, 100.0)
-        assert len(batch) == len(scalar)
-        for position, timeline in enumerate(scalar):
-            view = batch.view(position)
-            assert view.client_id == timeline.client_id
-            assert view.download_seconds == timeline.download_seconds
-            assert view.compute_seconds == timeline.compute_seconds
-            assert view.upload_seconds == timeline.upload_seconds
-            assert view.duration == timeline.duration
-            assert view.finish == timeline.finish
-
-    def test_jitter_factors_match_scalar_bitwise(self):
+    def test_jitter_factor_scales_every_phase(self):
         cohort = (0, 1, 2, 3, 4)
         traffic = traffic_for(cohort)
-        rng = np.random.default_rng(11)
-        draws = rng.uniform(0.8, 1.2, size=len(cohort))
-        batch = build_round_timelines(
+        draws = np.random.default_rng(11).uniform(0.8, 1.2, size=len(cohort))
+        base = build_round_timelines(THREE_TIER, 1, 0.0, cohort, traffic, 1e6, 100.0)
+        jittered = build_round_timelines(
             THREE_TIER, 1, 0.0, cohort, traffic, 1e6, 100.0, jitter_factors=draws
         )
-        factors = {cid: float(f) for cid, f in zip(cohort, draws)}
-        scalar = build_timelines(
-            THREE_TIER, 1, 0.0, cohort, traffic, 1e6, 100.0, jitter_factors=factors
-        )
-        for position, timeline in enumerate(scalar):
-            assert batch.view(position).duration == timeline.duration
+        for phase in ("download_seconds", "compute_seconds", "upload_seconds"):
+            assert np.array_equal(
+                getattr(jittered, phase), getattr(base, phase) * draws
+            )
 
     def test_uniform_traffic_pair_matches_per_client_map(self):
         cohort = (0, 1, 2, 3)
@@ -172,33 +67,23 @@ class TestLazyDeliveries:
         assert lazy[0] == Delivery(3, 2, 0, 1.0)
         assert lazy[-1] == Delivery(1, 1, 1, 0.5)
         assert lazy[0:2] == (Delivery(3, 2, 0, 1.0), Delivery(1, 1, 1, 0.5))
-        assert lazy == (Delivery(3, 2, 0, 1.0), Delivery(1, 1, 1, 0.5))
-        assert lazy != (Delivery(3, 2, 0, 1.0),)
+        assert lazy == LazyDeliveries([3, 1], [2, 1], [0, 1], [1.0, 0.5])
+        assert lazy != LazyDeliveries([3], [2], [0], [1.0])
         assert lazy.id_set == frozenset({1, 3})
         assert lazy.weight_for(1) == 0.5
         assert lazy.weight_for(99) == 0.0
 
 
-class TestThirdPartyPolicyFallback:
-    def test_policy_without_batch_path_downgrades_to_scalar(self):
-        class LegacyPolicy(RoundPolicy):
-            name = "legacy"
-
-            def decide(self, round_index, start, fresh, carried):
-                raise NotImplementedError
+class TestPolicyContract:
+    def test_policy_without_decide_names_its_class(self):
+        class HalfPolicy(RoundPolicy):
+            name = "half"
 
         simulator = FleetSimulator(
-            THREE_TIER, LegacyPolicy(), flops_per_example=1e6,
-            examples_per_round=100, pricing="vector",
+            THREE_TIER, HalfPolicy(), flops_per_example=1e6, examples_per_round=100
         )
-        assert simulator.pricing == "scalar"
-
-    def test_unknown_pricing_mode_rejected(self):
-        with pytest.raises(ValueError, match="pricing"):
-            FleetSimulator(
-                THREE_TIER, SynchronousPolicy(), flops_per_example=1e6,
-                examples_per_round=100, pricing="turbo",
-            )
+        with pytest.raises(NotImplementedError, match="HalfPolicy"):
+            simulator.plan_round(1, (0, 1), traffic_for((0, 1)))
 
 
 class TestHierarchicalFleet:
@@ -213,23 +98,6 @@ class TestHierarchicalFleet:
         assert np.all(rates == 0.75e6)
         # A lone client per cell gets the full backhaul, capped by device.
         assert np.all(fleet.upload_rates((0, 1)) == 1e6)
-
-    def test_vector_and_scalar_price_contention_identically(self):
-        fleet = HierarchicalFleet(
-            cycle=(EDGE_PHONE, RASPBERRY_PI), regions=2,
-            region_uplink_bytes_per_second=1.2e6,
-        )
-        vector = build_simulator(
-            POLICIES["deadline"], "vector", jitter=0.2, fleet=fleet
-        )
-        scalar = build_simulator(
-            POLICIES["deadline"], "scalar", jitter=0.2, fleet=fleet
-        )
-        _, vec_outcomes = drive(vector)
-        _, sca_outcomes = drive(scalar)
-        assert [o.round_seconds for o in vec_outcomes] == [
-            o.round_seconds for o in sca_outcomes
-        ]
 
     def test_crowded_cells_slow_the_round(self):
         uncontended = Fleet(cycle=(EDGE_PHONE,))
@@ -313,20 +181,6 @@ class TestHashGating:
         assert (
             self.base(state_store="file").stable_hash() != default.stable_hash()
         )
-
-    def test_pricing_default_absent_from_systems_payload(self):
-        config = self.base(
-            systems=SystemsConfig(flops_per_example=1e6, examples_per_round=100.0)
-        )
-        assert "pricing" not in config._canonical_dict()["systems"]
-        scalar = self.base(
-            systems=SystemsConfig(
-                flops_per_example=1e6, examples_per_round=100.0,
-                pricing="scalar",
-            )
-        )
-        assert "pricing" in scalar._canonical_dict()["systems"]
-        assert scalar.stable_hash() != config.stable_hash()
 
     def test_hierarchical_scenario_fields_gated(self):
         plain = self.base(scenario=ScenarioConfig())._canonical_dict()

@@ -1,5 +1,7 @@
 """State/mask/history persistence round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.federated import History, RoundRecord
 from repro.models import create_model
 from repro.pruning import MaskSet
 from repro.utils import (
+    history_to_dict,
     load_history,
     load_mask,
     load_state,
@@ -87,3 +90,23 @@ class TestHistoryRoundTrip:
         save_history(path, self.make_history())
         loaded = load_history(path)
         assert all(isinstance(cid, int) for cid in loaded.final_per_client_accuracy)
+
+    def test_wall_clock_seconds_history_keeps_its_time_axis(self, tmp_path):
+        """Histories from before ``wall_clock_seconds`` was folded into
+        ``simulated_seconds`` load with the same seconds-to-accuracy."""
+        history = self.make_history()
+        history.append(
+            RoundRecord(
+                round_index=2, sampled_clients=[0, 2], train_loss=0.4,
+                mean_accuracy=0.9, simulated_seconds=4.0,
+            )
+        )
+        payload = history_to_dict(history)
+        payload["rounds"][0].update(simulated_seconds=None, wall_clock_seconds=1.5)
+        payload["rounds"][1].update(wall_clock_seconds=None)
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_history(path)
+        assert [r.simulated_seconds for r in loaded.rounds] == [1.5, 4.0]
+        assert loaded.seconds_to_accuracy(0.8) == 1.5
+        assert loaded.seconds_to_accuracy(0.85) == 5.5
