@@ -131,8 +131,7 @@ def _conv2d_kernel(attrs, x, weight, bias=None):
         padded = x
     cols = im2col(padded, kernel_h, kernel_w, stride, out_h, out_w)
     w2d = weight.reshape(out_channels, -1)
-    result = np.einsum("fk,nkl->nfl", w2d, cols, optimize=True)
-    result = result.reshape(batch, out_channels, out_h, out_w)
+    result = (w2d @ cols).reshape(batch, out_channels, out_h, out_w)
     if bias is not None:
         result = result + bias.reshape(1, -1, 1, 1)
     return result, {"cols": cols, "w2d": w2d, "padded_shape": padded.shape}

@@ -157,6 +157,7 @@ from .evaluation import (
     fairness_report,
     model_confusion,
     per_class_accuracy,
+    predict,
 )
 from . import accounting
 
@@ -281,6 +282,7 @@ __all__ = [
     "confusion_matrix",
     "per_class_accuracy",
     "model_confusion",
+    "predict",
     "FairnessReport",
     "fairness_report",
 ]

@@ -20,13 +20,14 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..data.loader import DataLoader, full_batch
+from ..data.loader import DataLoader
 from ..models.base import ConvNet
 from ..nn import CrossEntropyLoss
 from ..optim import SGD
 from ..pruning import MaskSet, PruningController
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
 from ..data.partition import ClientData
+from .evaluation import predict
 
 
 @dataclass(frozen=True)
@@ -226,21 +227,12 @@ class FederatedClient:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, dataset: Optional[Dataset] = None, batch_size: int = 256) -> float:
+    def evaluate(self, dataset: Optional[Dataset] = None) -> float:
         """Accuracy of the current personal model on ``dataset`` (default: test)."""
         dataset = dataset if dataset is not None else self.data.test
         if len(dataset) == 0:
             return 0.0
-        self.model.eval()
-        correct = 0
-        images, labels = full_batch(dataset)
-        with no_grad():
-            for start in range(0, len(labels), batch_size):
-                chunk = images[start : start + batch_size]
-                predictions = self.model(Tensor(chunk)).data.argmax(axis=1)
-                correct += int((predictions == labels[start : start + batch_size]).sum())
-        self.model.train()
-        return correct / len(labels)
+        return int((predict(self.model, dataset) == dataset.labels).sum()) / len(dataset)
 
     def test_accuracy(self) -> float:
         return self.evaluate(self.data.test)

@@ -31,6 +31,11 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _check_output_size(op: str, out_h: int, out_w: int) -> None:
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(f"{op} output size is non-positive; check kernel/stride/padding")
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -47,8 +52,7 @@ def conv2d(
         )
     out_h = _conv_output_size(height, kernel_h, stride, padding)
     out_w = _conv_output_size(width, kernel_w, stride, padding)
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError("convolution output size is non-positive; check kernel/stride/padding")
+    _check_output_size("convolution", out_h, out_w)
 
     out_shape = (batch, out_channels, out_h, out_w)
     attrs = {"stride": stride, "padding": padding, "out_shape": out_shape}
@@ -66,10 +70,10 @@ def conv2d(
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if weight.requires_grad:
-                grad_w = np.einsum("nfl,nkl->fk", grad2d, cols, optimize=True)
+                grad_w = (grad2d @ cols.transpose(0, 2, 1)).sum(axis=0)
                 weight._accumulate(grad_w.reshape(weight.shape))
             if x.requires_grad:
-                grad_cols = np.einsum("fk,nfl->nkl", w2d, grad2d, optimize=True)
+                grad_cols = w2d.T @ grad2d
                 grad_padded = col2im(
                     grad_cols, padded_shape, kernel_h, kernel_w, stride, out_h, out_w
                 )
@@ -88,8 +92,9 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     if stride is None:
         stride = kernel
     batch, channels, height, width = x.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
+    out_h = _conv_output_size(height, kernel, stride, 0)
+    out_w = _conv_output_size(width, kernel, stride, 0)
+    _check_output_size("max-pool", out_h, out_w)
 
     out_shape = (batch, channels, out_h, out_w)
     attrs = {"kernel": kernel, "stride": stride, "out_shape": out_shape}

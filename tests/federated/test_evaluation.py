@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.data import ArrayDataset, Subset
+from repro.data.partition import ClientData
 from repro.federated import (
     FairnessReport,
+    FederatedClient,
     History,
+    LocalTrainConfig,
     confusion_matrix,
     fairness_report,
     model_confusion,
     per_class_accuracy,
+    predict,
 )
+from repro.federated.evaluation import EVAL_CHUNK
+from repro.tensor import Tensor, no_grad
 
 
 class TestConfusionMatrix:
@@ -48,6 +55,66 @@ class TestConfusionMatrix:
         matrix = model_confusion(tiny_cnn, blob_dataset, num_classes=3)
         assert matrix.shape == (3, 3)
         assert matrix.sum() == len(blob_dataset)
+
+
+class TestPredict:
+    """Evaluation results do not depend on how the forward is chunked."""
+
+    @pytest.fixture
+    def dataset(self, rng):
+        count = 2 * EVAL_CHUNK + 5
+        images = rng.normal(size=(count, 1, 8, 8))
+        labels = rng.integers(0, 3, size=count)
+        for k in range(3):
+            images[labels == k, 0, k, :] += 1.0
+        return ArrayDataset(images, labels)
+
+    @staticmethod
+    def client_for(model, dataset):
+        indices = np.arange(len(dataset))
+        data = ClientData(
+            client_id=0,
+            train=Subset(dataset, indices),
+            val=Subset(dataset, indices[:0]),
+            test=Subset(dataset, indices),
+            labels=np.arange(3),
+        )
+        return FederatedClient(data, lambda: model, LocalTrainConfig())
+
+    def test_matches_one_example_at_a_time(self, tiny_cnn, dataset):
+        tiny_cnn.eval()
+        with no_grad():
+            expected = [
+                int(tiny_cnn(Tensor(dataset.images[i : i + 1])).data.argmax())
+                for i in range(len(dataset))
+            ]
+        np.testing.assert_array_equal(predict(tiny_cnn, dataset), expected)
+
+    def test_callers_agree_with_predict(self, tiny_cnn, dataset):
+        predictions = predict(tiny_cnn, dataset)
+        client = self.client_for(tiny_cnn, dataset)
+        assert client.evaluate(dataset) == np.mean(predictions == dataset.labels)
+        np.testing.assert_array_equal(
+            model_confusion(tiny_cnn, dataset, num_classes=3),
+            confusion_matrix(predictions, dataset.labels, 3),
+        )
+
+    @pytest.mark.parametrize("caller", ["predict", "evaluate", "model_confusion"])
+    def test_model_left_in_train_mode(self, tiny_cnn, dataset, caller):
+        tiny_cnn.eval()
+        if caller == "predict":
+            predict(tiny_cnn, dataset)
+        elif caller == "evaluate":
+            self.client_for(tiny_cnn, dataset).evaluate(dataset)
+        else:
+            model_confusion(tiny_cnn, dataset, num_classes=3)
+        assert tiny_cnn.training
+
+    def test_empty_dataset_scores_zero_without_touching_mode(self, tiny_cnn, dataset):
+        client = self.client_for(tiny_cnn, dataset)
+        tiny_cnn.eval()
+        assert client.evaluate(Subset(dataset, [])) == 0.0
+        assert not tiny_cnn.training
 
 
 class TestFairnessReport:

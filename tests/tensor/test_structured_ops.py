@@ -41,6 +41,20 @@ def reference_conv(x, w, b, stride=1, padding=0):
     return out
 
 
+def reference_conv_grads(x, w, upstream, stride, padding):
+    """Conv grads of ``x``, ``w`` and bias from the einsum contractions."""
+    n, f, out_h, out_w = upstream.shape
+    k = w.shape[2]
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = im2col(padded, k, k, stride, out_h, out_w)
+    grad2d = upstream.reshape(n, f, out_h * out_w)
+    grad_w = np.einsum("nfl,nkl->fk", grad2d, cols).reshape(w.shape)
+    grad_cols = np.einsum("fk,nfl->nkl", w.reshape(f, -1), grad2d)
+    grad_padded = col2im(grad_cols, padded.shape, k, k, stride, out_h, out_w)
+    grad_x = grad_padded[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return grad_x, grad_w, upstream.sum(axis=(0, 2, 3))
+
+
 class TestConv2d:
     def test_value_matches_scipy(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
@@ -80,6 +94,29 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(1, 1, 5, 5)))
         with pytest.raises(ValueError, match="non-positive"):
             conv2d(x, w, None)
+
+    def test_pool_window_too_large_raises_like_conv(self):
+        with pytest.raises(ValueError, match="non-positive"):
+            max_pool2d(Tensor(np.ones((1, 1, 1, 1))), 2)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 2)])
+    def test_backward_batched_matches_einsum_reference(self, rng, stride, padding, with_bias):
+        """Batch-3 grads of x, w and b against the einsum contractions."""
+        x = Tensor(rng.normal(size=(3, 2, 7, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True) if with_bias else None
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        upstream = rng.normal(size=out.shape)
+        (out * Tensor(upstream)).sum().backward()
+
+        grad_x, grad_w, grad_b = reference_conv_grads(
+            x.data, w.data, upstream, stride, padding
+        )
+        np.testing.assert_allclose(x.grad, grad_x, atol=1e-10)
+        np.testing.assert_allclose(w.grad, grad_w, atol=1e-10)
+        if with_bias:
+            np.testing.assert_allclose(b.grad, grad_b, atol=1e-10)
 
     def test_im2col_col2im_are_adjoint(self, rng):
         """col2im(im2col(x)) multiplies each pixel by its window count."""
