@@ -74,7 +74,11 @@ def load_checkpoint(path: PathLike, trainer: FederatedTrainer) -> int:
 
     trainer.global_state = payload["global_state"]
     trainer.history = history_from_dict(payload["history"])
-    for client in trainer.clients:
+    # A ClientPool would drop a restored client on eviction: its RNG
+    # stream did not move, so it looks untouched.  Mark each one dirty
+    # before the next lookup can evict it.
+    mark_dirty = getattr(trainer.clients, "mark_dirty", None)
+    for index, client in enumerate(trainer.clients):
         entry = payload["clients"][client.client_id]
         client.model.load_state_dict(entry["model"])
         if isinstance(trainer, SubFedAvgTrainer):
@@ -85,6 +89,10 @@ def load_checkpoint(path: PathLike, trainer: FederatedTrainer) -> int:
             for name, mask in entry["ch_mask"].items():
                 controller.ch_mask[name] = mask
             controller.st_rate = entry["st_rate"]
+            trainer.client_sparsity[index] = controller.unstructured_sparsity()
+            trainer.client_channel_sparsity[index] = controller.channel_sparsity()
+        if mark_dirty is not None:
+            mark_dirty(index)
     return int(payload["completed_rounds"])
 
 

@@ -74,15 +74,19 @@ def pack_payload(meta: Dict, arrays: Dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def unpack_payload(blob: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays."""
+def _read_header(blob: bytes) -> Tuple[Dict, int]:
+    """A payload's parsed header and the offset of its first array."""
     if blob[:4] != _MAGIC:
         raise ValueError(
             f"not a codec payload (magic {blob[:4]!r}, expected {_MAGIC!r})"
         )
     (head_len,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8 : 8 + head_len].decode())
-    offset = 8 + head_len
+    return json.loads(blob[8 : 8 + head_len].decode()), 8 + head_len
+
+
+def unpack_payload(blob: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays."""
+    header, offset = _read_header(blob)
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
         dtype = np.dtype(spec["dtype"])
@@ -418,7 +422,7 @@ def build_compressor(
 def decode_state(encoded: Union[EncodedState, bytes]) -> State:
     """Decode any registered codec's payload by its self-describing header."""
     blob = encoded.payload if isinstance(encoded, EncodedState) else bytes(encoded)
-    meta, _ = unpack_payload(blob)
+    meta = _read_header(blob)[0]["meta"]
     codec = build_compressor(CompressionConfig(codec=meta.get("codec", "identity")))
     return codec.decode(blob)
 

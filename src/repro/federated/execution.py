@@ -79,7 +79,9 @@ class ClientTask:
     anchor_global: bool = False  # FedProx / MTL regularizer reference point
     epochs: Optional[int] = None  # train: budget override; evaluate: fine-tune
     restore: bool = False  # evaluate: leave the client untouched afterwards
-    want_trajectory: bool = False  # Sub-FedAvg Figure-1 bookkeeping
+    # train: also report the client's sparsities and test accuracy after
+    # the update (Sub-FedAvg's round record and Figure-1 trajectory)
+    want_trajectory: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
@@ -134,8 +136,10 @@ class ClientUpdate:
 
     For a training task this is the paper's ClientUpdate: the post-training
     state dict, the number of examples actually processed this round, the
-    mean loss, the committed personal mask and the pruning decisions.  For
-    an evaluation task only ``accuracy`` is populated.
+    mean loss, the committed personal mask and the pruning decisions, plus
+    ``sparsity``, ``channel_sparsity`` and ``accuracy`` when the task set
+    ``want_trajectory``.  For an evaluation task only ``accuracy`` is
+    populated.
     """
 
     client_index: int

@@ -156,7 +156,7 @@ class ClientPool(SequenceABC):
         self.store = store if store is not None else MemoryStateStore()
         self._live: "OrderedDict[int, FederatedClient]" = OrderedDict()
         self._baselines: Dict[int, object] = {}
-        self._restored: Set[int] = set()
+        self._dirty: Set[int] = set()
         self._setup_hooks: List[Callable[[FederatedClient], None]] = []
         self._pinned: Set[int] = set()
         self.materializations = 0
@@ -212,7 +212,7 @@ class ClientPool(SequenceABC):
         snapshot = self.store.load(client_id)
         if snapshot is not None:
             client.restore_state(snapshot)
-            self._restored.add(index)
+            self._dirty.add(index)
         self._baselines[index] = client.rng_state()
         self.materializations += 1
         return client
@@ -233,14 +233,21 @@ class ClientPool(SequenceABC):
         baseline = self._baselines.pop(index, None)
         # A client whose RNG stream never moved past its materialization
         # baseline did no mutating work — nothing to spill.  A client that
-        # was restored from the store stays dirty (the store must keep its
-        # state for the next materialization).
-        dirty = index in self._restored or client.rng_state() != baseline
+        # was restored from the store, or marked dirty, stays dirty (the
+        # store must keep its state for the next materialization).
+        dirty = index in self._dirty or client.rng_state() != baseline
         if dirty:
             self.store.save(int(client.client_id), client.snapshot_state())
             self.spills += 1
-        self._restored.discard(index)
+        self._dirty.discard(index)
         self.evictions += 1
+
+    def mark_dirty(self, index: int) -> None:
+        """Spill live client ``index`` on eviction even if its RNG stream
+        never moved (state written from outside, e.g. a checkpoint)."""
+        if index not in self._live:
+            raise KeyError(f"client {index} is not live")
+        self._dirty.add(index)
 
     @property
     def live_count(self) -> int:

@@ -14,7 +14,9 @@ Per round:
 Step 2 is a batch of :class:`~repro.federated.execution.ClientTask` objects
 run on the trainer's execution backend; updates are reduced in sampled
 order, so serial and parallel rounds commit the same masks and produce the
-same aggregate.
+same aggregate.  Each update also reports the client's sparsities and
+test accuracy, which is all the round record needs: a round touches only
+the clients it started, however large the population.
 """
 
 from __future__ import annotations
@@ -94,6 +96,11 @@ class SubFedAvgTrainer(FederatedTrainer):
         self.aggregator = aggregator
         self.track_trajectory = track_trajectory
         self.trajectory: List[TrajectoryPoint] = []
+        # Each client's sparsities as its last train update reported them
+        # (zero until it trains), so the per-round means never touch the
+        # clients a round did not sample.
+        self.client_sparsity = np.zeros(len(clients))
+        self.client_channel_sparsity = np.zeros(len(clients))
         # Upload-time (state, mask) snapshots of async in-flight updates,
         # consumed when the carried delivery finally arrives.
         self._held_states: Dict[int, Tuple[dict, object]] = {}
@@ -127,7 +134,7 @@ class SubFedAvgTrainer(FederatedTrainer):
                     client_index=index,
                     kind="train",
                     load="global",
-                    want_trajectory=self.track_trajectory,
+                    want_trajectory=True,
                 )
                 for index in started
             ]
@@ -147,8 +154,10 @@ class SubFedAvgTrainer(FederatedTrainer):
             downloaded += traffic.downloaded_bytes
             client_up[update.client_id] = traffic.uploaded_bytes
             client_down[update.client_id] = traffic.downloaded_bytes
-        if self.track_trajectory:
-            for update in updates:
+        for update in updates:
+            self.client_sparsity[update.client_index] = update.sparsity
+            self.client_channel_sparsity[update.client_index] = update.channel_sparsity
+            if self.track_trajectory:
                 self.trajectory.append(
                     TrajectoryPoint(
                         round_index=round_index,
@@ -170,15 +179,13 @@ class SubFedAvgTrainer(FederatedTrainer):
                     states, masks, self.global_state
                 )
 
-        sparsities = [c.controller.unstructured_sparsity() for c in self.clients]
-        channel_sparsities = [c.controller.channel_sparsity() for c in self.clients]
         return RoundRecord(
             round_index=round_index,
             sampled_clients=sampled,
             train_loss=float(np.mean([update.mean_loss for update in updates])),
-            sampled_accuracy=self.evaluate_sampled(started),
-            mean_sparsity=float(np.mean(sparsities)),
-            mean_channel_sparsity=float(np.mean(channel_sparsities)),
+            sampled_accuracy=float(np.mean([update.accuracy for update in updates])),
+            mean_sparsity=self.mean_unstructured_sparsity(),
+            mean_channel_sparsity=self.mean_channel_sparsity(),
             uploaded_bytes=uploaded,
             downloaded_bytes=downloaded,
             client_uploaded_bytes=client_up,
@@ -253,14 +260,10 @@ class SubFedAvgTrainer(FederatedTrainer):
 
     # ------------------------------------------------------------------
     def mean_unstructured_sparsity(self) -> float:
-        return float(
-            np.mean([c.controller.unstructured_sparsity() for c in self.clients])
-        )
+        return float(np.mean(self.client_sparsity))
 
     def mean_channel_sparsity(self) -> float:
-        return float(
-            np.mean([c.controller.channel_sparsity() for c in self.clients])
-        )
+        return float(np.mean(self.client_channel_sparsity))
 
 
 @register_trainer("sub-fedavg-un", config_sections=("unstructured",))

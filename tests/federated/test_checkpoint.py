@@ -18,8 +18,8 @@ from repro.federated.builder import build_trainer, model_factory
 from repro.pruning import UnstructuredConfig
 
 
-def make_config(algorithm="sub-fedavg-un", rounds=4):
-    return FederationConfig(
+def make_config(algorithm="sub-fedavg-un", rounds=4, **overrides):
+    fields = dict(
         dataset="mnist", algorithm=algorithm, num_clients=3,
         rounds=rounds, sample_fraction=1.0, n_train=120, n_test=60, seed=0,
         local=LocalTrainConfig(epochs=1, batch_size=10),
@@ -27,6 +27,8 @@ def make_config(algorithm="sub-fedavg-un", rounds=4):
             target_rate=0.5, step=0.25, epsilon=0.0, acc_threshold=0.0
         ) if algorithm.startswith("sub-fedavg") else None,
     )
+    fields.update(overrides)
+    return FederationConfig(**fields)
 
 
 def make_trainer(config):
@@ -59,6 +61,46 @@ class TestSaveLoad:
         for old, new in zip(trainer.clients, fresh.clients):
             assert new.controller.un_rate == old.controller.un_rate
             assert new.controller.un_mask == old.controller.un_mask
+
+    @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
+    def test_bounded_pool_keeps_every_restored_client(self, tmp_path, algorithm):
+        """Restoring writes state the pool cannot see (no RNG stream
+        moves); a cache smaller than the population must still spill it
+        instead of dropping it on eviction."""
+        config = make_config(
+            algorithm, num_clients=6, n_train=240, n_test=120, client_cache=2
+        )
+        trainer = make_trainer(config)
+        trainer._round(1, trainer.sampler.sample())
+        saved = [client.controller.un_rate for client in trainer.clients]
+        assert saved == [0.25] * 6  # every client committed one prune step
+        path = tmp_path / "ckpt.pkl"
+        save_checkpoint(path, trainer, 1)
+
+        fresh = make_trainer(config)
+        load_checkpoint(path, fresh)
+        assert [client.controller.un_rate for client in fresh.clients] == saved
+        for old, new in zip(trainer.clients, fresh.clients):
+            assert new.controller.un_mask == old.controller.un_mask
+            for name, value in old.model.state_dict().items():
+                np.testing.assert_array_equal(new.model.state_dict()[name], value)
+
+    @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
+    def test_resume_seeds_mean_sparsities(self, tmp_path, algorithm):
+        config = make_config(algorithm, num_clients=6, n_train=240, n_test=120)
+        trainer = make_trainer(config)
+        trainer._round(1, [0, 2, 3])
+        path = tmp_path / "ckpt.pkl"
+        save_checkpoint(path, trainer, 1)
+
+        fresh = make_trainer(config)
+        load_checkpoint(path, fresh)
+        scan = [c.controller.unstructured_sparsity() for c in fresh.clients]
+        channel_scan = [c.controller.channel_sparsity() for c in fresh.clients]
+        assert fresh.mean_unstructured_sparsity() == float(np.mean(scan)) > 0
+        assert fresh.mean_channel_sparsity() == float(np.mean(channel_scan))
+        assert fresh.mean_unstructured_sparsity() == trainer.mean_unstructured_sparsity()
+        assert fresh.mean_channel_sparsity() == trainer.mean_channel_sparsity()
 
     def test_algorithm_mismatch_rejected(self, tmp_path):
         trainer = make_trainer(make_config())

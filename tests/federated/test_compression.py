@@ -18,6 +18,7 @@ from repro.federated import (
 )
 from repro.federated.accounting import FLOAT_BITS
 from repro.federated.builder import model_factory
+from repro.federated import compression
 from repro.federated.compression import (
     CompressionConfig,
     CompressorSpec,
@@ -247,6 +248,28 @@ class TestRegistry:
             decoded = decode_state(codec.encode(update))
             for key in expected:
                 np.testing.assert_array_equal(decoded[key], expected[key])
+
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_decode_state_equals_codec_decode(self, rng, name, monkeypatch):
+        codec = build_compressor(name)
+        encoded = codec.encode(sample_update(rng))
+        expected = codec.decode(encoded)
+        unpacks = []
+        real_unpack = compression.unpack_payload
+
+        def counting_unpack(blob):
+            unpacks.append(len(blob))
+            return real_unpack(blob)
+
+        monkeypatch.setattr(compression, "unpack_payload", counting_unpack)
+        for source in (encoded, encoded.payload):
+            decoded = decode_state(source)
+            assert decoded.keys() == expected.keys()
+            for key in expected:
+                assert decoded[key].dtype == expected[key].dtype
+                np.testing.assert_array_equal(decoded[key], expected[key])
+        # The dispatch reads only the header: one full unpack per decode.
+        assert len(unpacks) == 2
 
     def test_register_and_unregister(self):
         @register_compressor("test-null", summary="test codec")

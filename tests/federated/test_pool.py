@@ -25,6 +25,8 @@ from repro.federated import (
     make_clients,
     make_state_store,
 )
+from repro.pruning import StructuredConfig, UnstructuredConfig
+from repro.utils.serialization import history_to_dict
 
 
 def tiny_config(**overrides):
@@ -207,3 +209,75 @@ class TestPoolEquivalence:
         serial = self.run(client_cache=2, backend="serial")
         parallel = self.run(client_cache=2, backend=backend, workers=2)
         assert history_fingerprint(parallel) == history_fingerprint(serial)
+
+
+class TestLazySubFedAvgRounds:
+    """A Sub-FedAvg round touches only the clients it started.
+
+    The round record's sparsities come from the train updates (kept per
+    client by the trainer) and its sampled accuracy from the same
+    dispatch, so a pool smaller than the population neither rebuilds
+    untouched clients nor changes a single number of the history.  The
+    pruning gates are opened (``epsilon=0``, ``acc_threshold=0``) so
+    masks and channels really commit and both sparsity paths carry
+    non-zero values.
+    """
+
+    def config(self, algorithm, backend, client_cache):
+        extra = {}
+        if algorithm == "sub-fedavg-hy":
+            extra["structured"] = StructuredConfig(epsilon=0.0, acc_threshold=0.0)
+        if backend == "process":
+            extra.update(
+                workers=2,
+                scenario={"profiles": ["edge-phone", "raspberry-pi"]},
+                systems={"round_policy": "async-buffer"},
+            )
+        return tiny_config(
+            algorithm=algorithm,
+            backend=backend,
+            client_cache=client_cache,
+            num_clients=8,
+            rounds=4,
+            sample_fraction=0.5,
+            eval_every=0,
+            n_train=320,
+            n_test=160,
+            unstructured=UnstructuredConfig(epsilon=0.0, acc_threshold=0.0),
+            **extra,
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
+    def test_tight_cache_matches_unbounded(self, algorithm, backend):
+        unbounded = Federation.from_config(self.config(algorithm, backend, 0)).run()
+        thrashing = Federation.from_config(self.config(algorithm, backend, 2)).run()
+        assert history_to_dict(thrashing) == history_to_dict(unbounded)
+        assert unbounded.rounds[-1].mean_sparsity > 0
+        if algorithm == "sub-fedavg-hy":
+            assert unbounded.rounds[-1].mean_channel_sparsity > 0
+
+    def test_round_builds_only_what_it_touches(self):
+        """8 clients, 4 rounds of 4 sampled, cache 2 (LRU order makes every
+        lookup a miss): each round builds its clients twice (the downlink
+        mask, then the train task) and the final evaluation builds every
+        client once.  Scanning all clients per round would build 120."""
+        federation = Federation.from_config(self.config("sub-fedavg-un", "serial", 2))
+        federation.run()
+        pool = federation.clients
+        assert pool.materializations <= 4 * 2 * 4 + len(pool)
+
+    @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
+    def test_mean_sparsities_equal_a_full_scan(self, algorithm):
+        federation = Federation.from_config(self.config(algorithm, "serial", 2))
+        history = federation.run()
+        trainer = federation.trainer
+        scan = [c.controller.unstructured_sparsity() for c in trainer.clients]
+        channel_scan = [c.controller.channel_sparsity() for c in trainer.clients]
+        assert trainer.mean_unstructured_sparsity() == float(np.mean(scan)) > 0
+        assert trainer.mean_channel_sparsity() == float(np.mean(channel_scan))
+        record = history.rounds[-1]
+        assert record.mean_sparsity == trainer.mean_unstructured_sparsity()
+        assert record.mean_channel_sparsity == trainer.mean_channel_sparsity()
+        if algorithm == "sub-fedavg-hy":
+            assert trainer.mean_channel_sparsity() > 0

@@ -155,6 +155,15 @@ class TestCrashSurfacesFailure:
             server.stop()
 
 
+class TestRefusesSubFedAvg:
+    @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
+    def test_construction_names_the_cause(self, algorithm):
+        """Wire clients carry no PruningController, so a served Sub-FedAvg
+        round could only die mid-run; the server refuses it up front."""
+        with pytest.raises(ValueError, match="PruningController"):
+            FederationServer(tiny_config(algorithm=algorithm))
+
+
 class TestEndpoints:
     @pytest.fixture()
     def server(self):
