@@ -1,4 +1,4 @@
-"""Benchmarks: the DESIGN.md §7 ablations on Sub-FedAvg's design choices."""
+"""Benchmarks: the design-choice ablations of ``repro.experiments.ablations``."""
 
 import pytest
 

@@ -9,6 +9,7 @@ matched scale and prints the accuracy-vs-uplink frontier.
 import pytest
 
 from repro.federated import (
+    DataConfig,
     FedAvgCompressed,
     FederationConfig,
     LocalTrainConfig,
@@ -26,8 +27,7 @@ SETTINGS = dict(
     num_clients=8,
     rounds=4,
     sample_fraction=0.5,
-    n_train=480,
-    n_test=240,
+    data=DataConfig(n_train=480, n_test=240),
     seed=0,
     local=LocalTrainConfig(epochs=3, batch_size=10),
 )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.data import heterogeneity_index
 from repro.federated import (
+    DataConfig,
     FederationConfig,
     LocalTrainConfig,
     build_trainer,
@@ -24,8 +25,7 @@ SETTINGS = dict(
     num_clients=10,
     rounds=5,
     sample_fraction=0.5,
-    n_train=600,
-    n_test=300,
+    data=DataConfig(n_train=600, n_test=300),
     seed=4,
     local=LocalTrainConfig(epochs=3, batch_size=10),
 )

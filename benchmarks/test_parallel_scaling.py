@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.federated import FederationConfig, LocalTrainConfig
+from repro.federated import DataConfig, FederationConfig, LocalTrainConfig
 from repro.federated.builder import build_trainer, make_clients
 
 SAMPLED_CLIENTS = 8
@@ -29,8 +29,7 @@ def build_trainer_for(backend: str, workers: int = 0):
         num_clients=SAMPLED_CLIENTS,
         rounds=1,
         sample_fraction=1.0,
-        n_train=1024,
-        n_test=256,
+        data=DataConfig(n_train=1024, n_test=256),
         seed=0,
         backend=backend,
         workers=workers,

@@ -15,7 +15,7 @@ Usage::
     python examples/communication_budget.py
 """
 
-from repro.federated import LocalTrainConfig, build_federation
+from repro.federated import DataConfig, Federation, FederationConfig, LocalTrainConfig
 from repro.pruning import UnstructuredConfig
 
 UPLOAD_BYTES_PER_SECOND = 1e6  # the paper's constrained-edge assumption
@@ -26,8 +26,7 @@ SETTINGS = dict(
     num_clients=10,
     rounds=6,
     sample_fraction=0.5,
-    n_train=600,
-    n_test=300,
+    data=DataConfig(n_train=600, n_test=300),
     seed=3,
     eval_every=1,
     local=LocalTrainConfig(epochs=3, batch_size=10),
@@ -45,8 +44,8 @@ def main() -> None:
 
     results = {}
     for name, extra in algorithms.items():
-        trainer = build_federation(algorithm=name, **SETTINGS, **extra)
-        results[name] = trainer.run()
+        config = FederationConfig(algorithm=name, **SETTINGS, **extra)
+        results[name] = Federation.from_config(config).run()
 
     print(f"{'algorithm':>14} | {'total up+down':>13} | {'rounds->' + format(TARGET_ACCURACY, '.0%'):>10} | upload time @1MB/s")
     print("-" * 66)

@@ -25,6 +25,7 @@ from repro.data.registry import register_dataset, register_partitioner
 from repro.data.synthetic import DatasetSpec
 from repro.federated import (
     AvailabilitySampler,
+    DataConfig,
     Federation,
     FederationConfig,
     LocalTrainConfig,
@@ -110,11 +111,9 @@ def main() -> None:
         num_clients=6,
         rounds=5,
         sample_fraction=1.0,
-        n_train=360,
-        n_test=120,
+        data=DataConfig(n_train=360, n_test=120, partition="first-labels"),
         seed=0,
         local=LocalTrainConfig(lr=0.05, momentum=0.5, batch_size=10, epochs=2),
-        partition="first-labels",
         scenario=ScenarioConfig(sampler="flaky-fleet", dropout=0.1),
     )
     history = Federation.from_config(config).run(callbacks=[ProgressLogger()])

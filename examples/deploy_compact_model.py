@@ -22,7 +22,13 @@ import time
 import numpy as np
 
 from repro.data import full_batch
-from repro.federated import FederationConfig, LocalTrainConfig, build_trainer, make_clients
+from repro.federated import (
+    DataConfig,
+    FederationConfig,
+    LocalTrainConfig,
+    build_trainer,
+    make_clients,
+)
 from repro.federated.accounting import dense_conv_flops, pruned_conv_flops
 from repro.pruning import StructuredConfig, UnstructuredConfig, compact_model, compaction_summary
 from repro.tensor import Tensor
@@ -35,8 +41,7 @@ def main() -> None:
         num_clients=8,
         rounds=4,
         sample_fraction=1.0,
-        n_train=480,
-        n_test=240,
+        data=DataConfig(n_train=480, n_test=240),
         seed=2,
         local=LocalTrainConfig(epochs=3, batch_size=10),
         unstructured=UnstructuredConfig(target_rate=0.5, step=0.25, acc_threshold=0.0),

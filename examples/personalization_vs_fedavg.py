@@ -19,23 +19,22 @@ with ``dataset`` one of mnist / emnist / cifar10 (default mnist).
 
 import sys
 
-from repro.federated import LocalTrainConfig, build_federation
+from repro.federated import DataConfig, Federation, FederationConfig, LocalTrainConfig
 from repro.pruning import UnstructuredConfig
 
 SETTINGS = dict(
     num_clients=10,
     rounds=6,
     sample_fraction=0.5,
-    n_train=600,
-    n_test=300,
+    data=DataConfig(n_train=600, n_test=300),
     seed=7,
     local=LocalTrainConfig(epochs=3, batch_size=10),
 )
 
 
 def run(dataset: str, algorithm: str, **extra):
-    trainer = build_federation(dataset=dataset, algorithm=algorithm, **SETTINGS, **extra)
-    return trainer.run()
+    config = FederationConfig(dataset=dataset, algorithm=algorithm, **SETTINGS, **extra)
+    return Federation.from_config(config).run()
 
 
 def main() -> None:

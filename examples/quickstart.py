@@ -14,6 +14,7 @@ Usage::
 """
 
 from repro.federated import (
+    DataConfig,
     Federation,
     FederationConfig,
     LocalTrainConfig,
@@ -24,13 +25,12 @@ from repro.pruning import UnstructuredConfig
 
 def main() -> None:
     config = FederationConfig(
-        dataset="mnist",  # synthetic stand-in; see DESIGN.md §2
+        dataset="mnist",  # synthetic stand-in; see src/repro/data/synthetic.py
         algorithm="sub-fedavg-un",  # Algorithm 1 of the paper (registry name)
         num_clients=10,
         rounds=5,
         sample_fraction=0.5,  # 5 clients per round
-        n_train=600,
-        n_test=300,
+        data=DataConfig(n_train=600, n_test=300),  # the 2-shard split (§4.1)
         seed=0,
         local=LocalTrainConfig(lr=0.01, momentum=0.5, batch_size=10, epochs=3),
         unstructured=UnstructuredConfig(

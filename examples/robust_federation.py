@@ -20,6 +20,7 @@ Usage::
 from repro.federated import (
     AvailabilityModel,
     CorruptionModel,
+    DataConfig,
     FederationConfig,
     LocalTrainConfig,
     RobustFedAvg,
@@ -36,8 +37,7 @@ def run(aggregation: str):
         num_clients=10,
         rounds=5,
         sample_fraction=0.8,
-        n_train=600,
-        n_test=300,
+        data=DataConfig(n_train=600, n_test=300),
         seed=6,
         local=LocalTrainConfig(epochs=3, batch_size=10),
     )

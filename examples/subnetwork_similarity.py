@@ -22,7 +22,13 @@ Usage::
 import numpy as np
 
 from repro.data.partition import label_overlap
-from repro.federated import LocalTrainConfig, FederationConfig, build_trainer, make_clients
+from repro.federated import (
+    DataConfig,
+    FederationConfig,
+    LocalTrainConfig,
+    build_trainer,
+    make_clients,
+)
 from repro.pruning import UnstructuredConfig, hamming_distance
 
 
@@ -33,8 +39,7 @@ def main() -> None:
         num_clients=12,
         rounds=6,
         sample_fraction=1.0,  # everyone participates: all masks evolve
-        n_train=720,
-        n_test=300,
+        data=DataConfig(n_train=720, n_test=300),
         seed=5,
         local=LocalTrainConfig(epochs=3, batch_size=10),
         unstructured=UnstructuredConfig(target_rate=0.6, step=0.2),

@@ -7,10 +7,10 @@ benchmarks, the Sub-FedAvg algorithms and all paper baselines.
 
 Quickstart
 ----------
->>> from repro.federated import Federation, FederationConfig
+>>> from repro.federated import DataConfig, Federation, FederationConfig
 >>> federation = Federation.from_config(FederationConfig(
-...     dataset="mnist", algorithm="sub-fedavg-un",
-...     num_clients=10, rounds=3, n_train=600, n_test=200))
+...     dataset="mnist", algorithm="sub-fedavg-un", num_clients=10, rounds=3,
+...     data=DataConfig(n_train=600, n_test=200)))
 >>> history = federation.run()  # doctest: +SKIP
 
 Every experiment axis is a plugin registry: algorithms

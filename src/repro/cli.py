@@ -84,7 +84,7 @@ from .experiments import (
     smoke_spec,
     table1_spec,
 )
-from .experiments.sweep import SWEEP_EXECUTORS
+from .experiments.sweep import SWEEP_EXECUTORS, merge_overrides
 from .federated import (
     Federation,
     FederationConfig,
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.add_argument("--target", type=float, default=0.8, help="accuracy target")
     fig3.set_defaults(func=_cmd_fig3)
 
-    ablate = sub.add_parser("ablate", help="run a DESIGN.md §7 ablation")
+    ablate = sub.add_parser("ablate", help="ablate one of Sub-FedAvg's design choices")
     common(ablate)
     ablate.add_argument(
         "--which",
@@ -546,7 +546,7 @@ def _cmd_sweep(args) -> int:
     # still win).
     base = dict(spec.base)
     if args.partition is not None:
-        base.update(partition_override(args.partition))
+        base = merge_overrides(base, partition_override(args.partition))
     if args.sampler is not None:
         base.update(sampler_override(args.sampler))
     if args.fleet is not None:

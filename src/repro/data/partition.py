@@ -27,7 +27,7 @@ rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -67,6 +67,10 @@ class DataConfig:
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}"
+            )
+        if self.shards_per_client < 1:
+            raise ValueError(
+                f"shards_per_client must be >= 1, got {self.shards_per_client}"
             )
         if self.min_size < 1:
             raise ValueError(f"min_size must be >= 1, got {self.min_size}")
@@ -329,29 +333,24 @@ def build_client_data(
     num_clients: int,
     config: Optional[DataConfig] = None,
     seed: int = 0,
-    **overrides,
 ) -> List[ClientData]:
     """Construct the complete federation: one :class:`ClientData` per client.
 
     The scenario comes from ``config`` (a :class:`DataConfig`, defaulted),
-    optionally adjusted by keyword ``overrides`` naming its fields — so
-    both ``build_client_data(train, test, 10, config)`` and the historical
-    flat form ``build_client_data(train, test, 10, partition="dirichlet",
-    dirichlet_alpha=0.1)`` work.  The partition strategy is resolved
-    through the registry; validation data is carved from each client's
-    local training split, and the test view follows the paper's
+    e.g. ``build_client_data(train, test, 10, DataConfig(
+    partition="dirichlet", dirichlet_alpha=0.1))``.  The partition strategy
+    is resolved through the registry; validation data is carved from each
+    client's local training split, and the test view follows the paper's
     label-conditional rule.
     """
     if config is not None and not isinstance(config, DataConfig):
         raise TypeError(
             f"config must be a DataConfig, got {config!r}; the pre-scenario "
             "positional signature (shards_per_client as the 4th argument) "
-            "is now keyword-only: build_client_data(train, test, n, "
-            "shards_per_client=...)"
+            "is gone: build_client_data(train, test, n, "
+            "DataConfig(shards_per_client=...))"
         )
     config = config if config is not None else DataConfig()
-    if overrides:
-        config = replace(config, **overrides)
     rng = np.random.default_rng(seed)
     index_sets = partition_indices(train_set.labels, num_clients, config, rng)
 

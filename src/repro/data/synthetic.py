@@ -3,7 +3,7 @@
 The evaluation environment has no network access, so torchvision downloads
 are unavailable.  These generators produce class-conditional image
 distributions that preserve the properties Sub-FedAvg's experiments depend
-on (see DESIGN.md §2):
+on:
 
 * fixed shapes and class counts matching the real datasets,
 * a deterministic per-class *template* (a smoothed random field), so a small

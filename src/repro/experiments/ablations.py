@@ -1,4 +1,4 @@
-"""Ablation studies on Sub-FedAvg's design choices (DESIGN.md §7).
+"""Ablation studies on Sub-FedAvg's design choices.
 
 Five ablations, each isolating one mechanism the paper relies on:
 
@@ -181,7 +181,7 @@ def ablate_heterogeneity(
     sweep.raise_failures()
     results: Dict[float, Dict[str, float]] = {alpha: {} for alpha in alphas}
     for result in sweep.ordered():
-        alpha = result.config.dirichlet_alpha
+        alpha = result.config.data.dirichlet_alpha
         results[alpha][result.tags["variant"]] = (
             result.history.final_accuracy or 0.0
         )

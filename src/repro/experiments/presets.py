@@ -77,13 +77,14 @@ def get_preset(name: str) -> ScalePreset:
 def partition_override(partition: str, **params) -> Dict[str, Any]:
     """Config overrides selecting a *registered* partition strategy.
 
-    ``params`` are :class:`~repro.data.partition.DataConfig` fields (e.g.
-    ``dirichlet_alpha=0.1``); the partitioner name is resolved through the
-    registry so a typo or unregistered strategy raises here, where the
+    Returns a ``{"data": {...}}`` override; ``params`` are
+    :class:`~repro.data.partition.DataConfig` fields (e.g.
+    ``dirichlet_alpha=0.1``).  The partitioner name is resolved through
+    the registry so a typo or unregistered strategy raises here, where the
     grid is declared, instead of inside a sweep worker.
     """
     get_partitioner(partition)  # raises KeyError for unknown strategies
-    return {"partition": partition, **params}
+    return {"data": {"partition": partition, **params}}
 
 
 def sampler_override(sampler: str, **params) -> Dict[str, Any]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
+from ..data import DataConfig
 from ..federated import Federation, FederationConfig, History, LocalTrainConfig
 from ..pruning import StructuredConfig, UnstructuredConfig
 from .presets import ScalePreset, get_preset
@@ -22,30 +24,34 @@ def federation_config(
     """Translate a scale preset into a full :class:`FederationConfig`.
 
     ``overrides`` may only name config fields this function does not
-    already derive from its arguments — e.g. ``partition=``/``backend=``,
-    or whole nested sections (``scenario=ScenarioConfig(...)``, typically
-    built with :func:`~repro.experiments.presets.sampler_override` /
-    :func:`~repro.experiments.presets.partition_override` so the names are
-    registry-validated at grid-declaration time).  Passing a preset-derived
+    already derive from its arguments — e.g. ``backend=``, or whole nested
+    sections (``scenario=ScenarioConfig(...)``, typically built with
+    :func:`~repro.experiments.presets.sampler_override` so the names are
+    registry-validated at grid-declaration time).  A ``data`` override is
+    a mapping of :class:`~repro.data.partition.DataConfig` fields (see
+    :func:`~repro.experiments.presets.partition_override`) applied on top
+    of the preset's ``n_train``/``n_test``.  Passing a preset-derived
     field raises immediately with the dedicated parameter to use instead —
     previously this surfaced as a bare ``TypeError: got multiple values for
     keyword argument`` deep in the dataclass constructor.
     """
+    data_changes = overrides.pop("data", None) or {}
     derived = dict(
         dataset=dataset,
         algorithm=algorithm,
         num_clients=preset.num_clients,
         rounds=preset.rounds,
         sample_fraction=preset.sample_fraction,
-        n_train=preset.n_train,
-        n_test=preset.n_test,
         seed=seed,
         eval_every=preset.eval_every if eval_every is None else eval_every,
         local=LocalTrainConfig(epochs=preset.local_epochs),
         unstructured=unstructured,
         structured=structured,
     )
-    colliding = sorted(set(overrides) & set(derived))
+    preset_data = {"n_train", "n_test"} & set(data_changes)
+    colliding = sorted(
+        (set(overrides) & set(derived)) | {f"data.{name}" for name in preset_data}
+    )
     if colliding:
         raise ValueError(
             f"override(s) {colliding} collide with preset-derived fields; "
@@ -53,7 +59,8 @@ def federation_config(
             "unstructured/structured/eval_every), pick a different preset, "
             "or adjust the result with dataclasses.replace()"
         )
-    return FederationConfig(**derived, **overrides)
+    data = DataConfig(n_train=preset.n_train, n_test=preset.n_test)
+    return FederationConfig(**derived, data=replace(data, **data_changes), **overrides)
 
 
 def run_algorithm(

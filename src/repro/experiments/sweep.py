@@ -76,6 +76,21 @@ class Variant:
     tags: Mapping[str, Any] = field(default_factory=dict)
 
 
+def merge_overrides(*layers: Mapping[str, Any]) -> Dict[str, Any]:
+    """Merge config-override layers left to right; later layers win.
+
+    ``data`` mappings merge field by field, so a base ``partition`` and an
+    axis ``dirichlet_alpha`` combine instead of replacing each other.
+    """
+    merged: Dict[str, Any] = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if key == "data":
+                value = {**merged.get("data", {}), **value}
+            merged[key] = value
+    return merged
+
+
 def _as_variant(entry: Union[str, Variant]) -> Variant:
     if isinstance(entry, Variant):
         return entry
@@ -109,9 +124,11 @@ class SweepSpec:
     ``datasets`` × ``algorithms`` × ``overrides`` × ``seeds`` is the
     expansion order (and therefore the cell order).  ``overrides`` is a
     mapping of axis label → :func:`federation_config` keyword overrides
-    (e.g. ``{"alpha=0.1": {"partition": "dirichlet", "dirichlet_alpha":
-    0.1}}``); the default single unlabeled entry keeps keys short for the
-    common no-override grids.  ``base`` applies to every cell.
+    (e.g. ``{"alpha=0.1": {"data": {"partition": "dirichlet",
+    "dirichlet_alpha": 0.1}}}``); the default single unlabeled entry keeps
+    keys short for the common no-override grids.  ``base`` applies to
+    every cell; base, axis and variant overrides merge in that order
+    (:func:`merge_overrides`).
     """
 
     name: str
@@ -132,9 +149,9 @@ class SweepSpec:
             self.datasets, map(_as_variant, self.algorithms), self.overrides, self.seeds
         )
         for dataset, variant, override_label, seed in axes:
-            kwargs: Dict[str, Any] = dict(self.base)
-            kwargs.update(self.overrides[override_label])
-            kwargs.update(variant.overrides)
+            kwargs = merge_overrides(
+                self.base, self.overrides[override_label], variant.overrides
+            )
             config = federation_config(
                 dataset,
                 variant.algorithm,

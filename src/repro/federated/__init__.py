@@ -21,8 +21,7 @@ an :mod:`~repro.federated.execution` backend (``serial``, ``thread`` or
 histories guaranteed identical across backends.  Lifecycle callbacks (:class:`ProgressLogger`,
 :class:`EarlyStopping`, :class:`CheckpointCallback`,
 :class:`FleetSimCallback`, or any :class:`Callback` subclass) observe and
-steer the round loop.  ``build_federation`` and ``run_with_checkpoints``
-remain as thin shims over the same machinery.
+steer the round loop.
 """
 
 from .aggregation import (
@@ -64,7 +63,6 @@ from .execution import (
 from .builder import (
     FederationConfig,
     ModelFactory,
-    build_federation,
     build_trainer,
     make_clients,
     model_factory,
@@ -150,7 +148,7 @@ from ..systems import (
     fleet_specs,
     round_policy_specs,
 )
-from .checkpoint import load_checkpoint, run_with_checkpoints, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import (
     FairnessReport,
     confusion_matrix,
@@ -231,7 +229,6 @@ __all__ = [
     "Standalone",
     "SubFedAvgUn",
     "SubFedAvgHy",
-    "build_federation",
     "build_trainer",
     "make_clients",
     "model_factory",
@@ -278,7 +275,6 @@ __all__ = [
     "WORKSTATION",
     "save_checkpoint",
     "load_checkpoint",
-    "run_with_checkpoints",
     "confusion_matrix",
     "per_class_accuracy",
     "model_confusion",

@@ -97,8 +97,9 @@ def zero_fill_average(
 
     Divides by the number of clients everywhere instead of by the number of
     keepers, so coordinates kept by few clients are dragged toward zero.
-    DESIGN.md §7 uses this to show why Sub-FedAvg's intersection rule
-    matters; it is not part of the paper's algorithm.
+    :func:`~repro.experiments.ablations.ablate_aggregation` uses this to
+    show why Sub-FedAvg's intersection rule matters; it is not part of the
+    paper's algorithm.
     """
     if len(states) != len(masks):
         raise ValueError("states and masks length mismatch")

@@ -18,11 +18,11 @@ chains anywhere:
 
 The data scenario lives in the nested ``data``
 (:class:`~repro.data.partition.DataConfig`) and ``scenario``
-(:class:`~repro.federated.scenario.ScenarioConfig`) sections.  The
-historical flat fields (``n_train``, ``partition``, ``dirichlet_alpha``,
-…) are still accepted as constructor keywords and in ``from_dict``
-payloads — they fold into the ``data`` section, so PR-3-era stored configs
-keep loading and hash identically (:meth:`FederationConfig.stable_hash`).
+(:class:`~repro.federated.scenario.ScenarioConfig`) sections.  Stored
+payloads of the older flat schema (``n_train``, ``partition``, … at the
+top level) still load through :meth:`FederationConfig.from_dict`, which
+folds those keys into the ``data`` section, and they hash identically
+(:meth:`FederationConfig.stable_hash`).
 
 The canonical high-level entry point is the
 :class:`~repro.federated.federation.Federation` facade:
@@ -33,9 +33,6 @@ The canonical high-level entry point is the
 ...     num_clients=10, rounds=5, seed=0,
 ... ))
 >>> history = federation.run()  # doctest: +SKIP
-
-``build_federation(**kwargs)`` is kept as a thin shim over the same path
-for existing callers.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from ..data import DataConfig, build_client_data, load_dataset
 from ..data.registry import get_dataset, get_partitioner
@@ -104,11 +101,6 @@ _POST_LEGACY_DATA_FIELDS = tuple(
     name for name in DataConfig.field_names() if name not in _LEGACY_DATA_FIELDS
 )
 
-#: Every ``data`` field is also accepted as a flat constructor keyword /
-#: ``from_dict`` key and readable as a flat attribute — the historical
-#: spelling, kept working by :func:`_install_legacy_aliases`.
-_FLAT_DATA_FIELDS = DataConfig.field_names()
-
 
 def _jsonify(value: Any) -> Any:
     """Normalize to what a JSON round-trip would produce (tuples → lists)."""
@@ -125,9 +117,7 @@ class FederationConfig:
 
     The nested sections are plain frozen dataclasses, so the whole config
     serializes losslessly: ``FederationConfig.from_json(cfg.to_json())``
-    compares equal to ``cfg`` and reproduces the identical run.  The
-    trailing init-only keywords (``n_train``, ``partition``, …) are the
-    historical flat spellings of the ``data`` section and fold into it.
+    compares equal to ``cfg`` and reproduces the identical run.
     """
 
     dataset: str = "cifar10"
@@ -163,6 +153,10 @@ class FederationConfig:
                 f"unknown execution backend {self.backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
+        if self.num_clients < 1:
+            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.client_cache < 0:
@@ -193,12 +187,13 @@ class FederationConfig:
 
         Also accepts the historical flat schema (``n_train``,
         ``partition``, … at the top level, no ``data``/``scenario``
-        sections), so stored PR-3-era payloads keep loading unchanged.
-        Payloads written while a ``compute`` section existed carry
-        ``{"engine": "eager", ...}``; that section is dropped (eager is the
-        only engine), and any other engine raises ``ValueError``.  A
-        ``systems.pricing`` key (``"vector"`` or ``"scalar"``, which priced
-        bit-identically) is dropped too.
+        sections): those keys fold into the ``data`` section, so stored
+        PR-3-era payloads keep loading unchanged.  A field set both flat
+        and under ``data`` raises ``ValueError``.  Payloads written while a
+        ``compute`` section existed carry ``{"engine": "eager", ...}``; that
+        section is dropped (eager is the only engine), and any other engine
+        raises ``ValueError``.  A ``systems.pricing`` key (``"vector"`` or
+        ``"scalar"``, which priced bit-identically) is dropped too.
         """
         data = dict(payload)
         compute = dict(data.pop("compute", None) or {})
@@ -208,8 +203,17 @@ class FederationConfig:
                 "the lazy compute engine was removed and every run executes "
                 "eagerly; delete the config's compute section"
             )
-        known = {spec.name for spec in fields(cls)} | set(_FLAT_DATA_FIELDS)
-        unknown = set(data) - known
+        flat = {name: data.pop(name) for name in DataConfig.field_names() if name in data}
+        if flat:
+            nested = data.get("data") or {}
+            both = sorted(set(flat) & set(nested))
+            if both:
+                raise ValueError(
+                    f"data field(s) {both} set both at the top level and in "
+                    "the data section; keep only the data section"
+                )
+            data["data"] = {**nested, **flat}
+        unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise KeyError(f"unknown FederationConfig fields: {sorted(unknown)}")
         systems = data.get("systems")
@@ -307,48 +311,6 @@ class FederationConfig:
             payload["extra"] = dict(extra)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _install_legacy_aliases() -> None:
-    """Make the historical flat fields keep working on the nested schema.
-
-    Constructor keywords (``FederationConfig(n_train=120,
-    partition="dirichlet")``) fold into the ``data`` section, and attribute
-    reads (``config.n_train``) proxy to it.  The aliases are *not* dataclass
-    fields, so ``dataclasses.replace``, ``fields()`` and ``to_dict`` see
-    only the nested form — in particular ``replace(config, data=...)``
-    cannot resurrect stale flat values.
-    """
-    dataclass_init = FederationConfig.__init__
-
-    def compat_init(self, *args, **kwargs) -> None:
-        legacy = {
-            name: kwargs.pop(name)
-            for name in _FLAT_DATA_FIELDS
-            if kwargs.get(name) is not None
-        }
-        for name in _FLAT_DATA_FIELDS:
-            kwargs.pop(name, None)  # tolerate explicit None placeholders
-        dataclass_init(self, *args, **kwargs)
-        if legacy:
-            object.__setattr__(self, "data", replace(self.data, **legacy))
-            get_partitioner(self.data.partition)  # re-check the folded name
-
-    compat_init.__wrapped__ = dataclass_init
-    FederationConfig.__init__ = compat_init
-
-    def data_proxy(name: str) -> property:
-        def getter(self: FederationConfig):
-            return getattr(self.data, name)
-
-        getter.__doc__ = f"Alias for ``self.data.{name}`` (legacy flat field)."
-        return property(getter)
-
-    for name in _FLAT_DATA_FIELDS:
-        setattr(FederationConfig, name, data_proxy(name))
-
-
-_install_legacy_aliases()
 
 
 def make_clients(config: FederationConfig) -> ClientPool:
@@ -502,16 +464,6 @@ def build_trainer(
             kwargs[section] = value
     kwargs.update(overrides)
     return spec.cls(**kwargs)
-
-
-def build_federation(**kwargs) -> FederatedTrainer:
-    """Deprecated shim: ``FederationConfig(**kwargs)`` → clients → trainer.
-
-    Prefer ``Federation.from_config(FederationConfig(...))``, which keeps
-    the config attached to the run.
-    """
-    config = FederationConfig(**kwargs)
-    return build_trainer(config, make_clients(config))
 
 
 def __getattr__(name: str):

@@ -14,8 +14,7 @@ accepts a list of callbacks and invokes, in list order:
 * ``on_run_end(trainer, history)`` — once, after the final evaluation.
 
 Built-ins cover the common run furniture: :class:`ProgressLogger`,
-:class:`EarlyStopping` and :class:`CheckpointCallback` (the callback form
-of the old ``run_with_checkpoints`` driver).  Live per-round simulated
+:class:`EarlyStopping` and :class:`CheckpointCallback`.  Live per-round simulated
 seconds come from :class:`~repro.systems.callback.FleetSimCallback`.
 """
 
@@ -205,9 +204,8 @@ class EarlyStopping(Callback):
 class CheckpointCallback(Callback):
     """Snapshots the trainer every ``every`` rounds; resumes if a file exists.
 
-    The callback form of the old ``run_with_checkpoints`` driver: restoring
-    a checkpoint in ``on_run_start`` pre-populates the trainer's history,
-    which makes the round loop skip the already-completed rounds.
+    Restoring a checkpoint in ``on_run_start`` pre-populates the trainer's
+    history, which makes the round loop skip the already-completed rounds.
     """
 
     def __init__(self, path, every: int = 10, resume: bool = True) -> None:

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Union
 
 from ..utils.serialization import history_from_dict, history_to_dict
-from .metrics import History
 from .trainers.base import FederatedTrainer
 from .trainers.subfedavg import SubFedAvgTrainer
 
@@ -95,19 +94,3 @@ def load_checkpoint(path: PathLike, trainer: FederatedTrainer) -> int:
             mark_dirty(index)
     return int(payload["completed_rounds"])
 
-
-def run_with_checkpoints(
-    trainer: FederatedTrainer,
-    path: PathLike,
-    every: int = 10,
-    resume: bool = True,
-) -> History:
-    """Deprecated shim over the callback API.
-
-    Equivalent to ``trainer.run(callbacks=[CheckpointCallback(path,
-    every=every, resume=resume)])``, which is the preferred spelling — it
-    composes with other callbacks (progress, early stopping, fleet time).
-    """
-    from .callbacks import CheckpointCallback
-
-    return trainer.run(callbacks=[CheckpointCallback(path, every=every, resume=resume)])

@@ -153,11 +153,9 @@ class TestThirdPartyScenario:
                 num_clients=3,
                 rounds=2,
                 sample_fraction=1.0,
-                n_train=60,
-                n_test=30,
+                data=DataConfig(n_train=60, n_test=30, partition="alternating"),
                 seed=0,
                 local=LocalTrainConfig(epochs=1, batch_size=10),
-                partition="alternating",
                 scenario=ScenarioConfig(
                     sampler="availability", participation=0.9, dropout=0.1
                 ),
@@ -183,7 +181,7 @@ class TestThirdPartyScenario:
         try:
             train, test = load_dataset("mnist", 120, 40, seed=0)
             clients = build_client_data(
-                train, test, num_clients=4, partition="round-robin", seed=0
+                train, test, 4, DataConfig(partition="round-robin"), seed=0
             )
             assert len(clients) == 4
             # Round-robin is an even deal: every client holds a quarter.

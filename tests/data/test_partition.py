@@ -241,9 +241,8 @@ class TestLabelKPartition:
 class TestClientData:
     def make_federation(self, **kwargs):
         train, test = load_dataset("mnist", 400, 100, seed=0)
-        defaults = dict(num_clients=8, shards_per_client=2, val_fraction=0.1, seed=0)
-        defaults.update(kwargs)
-        return build_client_data(train, test, **defaults), train, test
+        config = DataConfig(shards_per_client=2, val_fraction=0.1, **kwargs)
+        return build_client_data(train, test, 8, config, seed=0), train, test
 
     def test_every_client_has_data(self):
         clients, *_ = self.make_federation()
@@ -286,7 +285,7 @@ class TestClientData:
     def test_unknown_partition_raises(self):
         train, test = load_dataset("mnist", 200, 50, seed=0)
         with pytest.raises(KeyError, match="unknown partition strategy"):
-            build_client_data(train, test, num_clients=4, partition="bogus")
+            build_client_data(train, test, 4, DataConfig(partition="bogus"))
 
     def test_data_config_object_accepted(self):
         train, test = load_dataset("mnist", 200, 50, seed=0)
@@ -298,8 +297,14 @@ class TestClientData:
         """The old 4th positional (shards_per_client) gets a clear error,
         not a late AttributeError on an int."""
         train, test = load_dataset("mnist", 200, 50, seed=0)
-        with pytest.raises(TypeError, match="keyword-only"):
+        with pytest.raises(TypeError, match="must be a DataConfig"):
             build_client_data(train, test, 4, 2)
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_zero_shards_per_client_rejected_by_name(self, shards):
+        """Used to die in shard_partition with a bare ZeroDivisionError."""
+        with pytest.raises(ValueError, match="shards_per_client"):
+            DataConfig(shards_per_client=shards)
 
 
 class TestLabelOverlap:

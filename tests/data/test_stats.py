@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import (
+    DataConfig,
     build_client_data,
     heterogeneity_index,
     label_emd,
@@ -52,10 +53,8 @@ class TestLabelEmd:
 class TestHeterogeneityIndex:
     def make_clients(self, partition, alpha=0.5):
         train, test = load_dataset("mnist", 400, 100, seed=0)
-        return build_client_data(
-            train, test, num_clients=8, partition=partition,
-            dirichlet_alpha=alpha, seed=0,
-        )
+        config = DataConfig(partition=partition, dirichlet_alpha=alpha)
+        return build_client_data(train, test, 8, config, seed=0)
 
     def test_shard_partition_is_pathological(self):
         clients = self.make_clients("shard")

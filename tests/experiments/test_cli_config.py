@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.federated import FederationConfig, LocalTrainConfig, available_algorithms
+from repro.federated import (
+    DataConfig,
+    FederationConfig,
+    LocalTrainConfig,
+    available_algorithms,
+)
 
 
 def tiny_config_json():
@@ -15,8 +20,7 @@ def tiny_config_json():
         num_clients=3,
         rounds=2,
         sample_fraction=1.0,
-        n_train=120,
-        n_test=60,
+        data=DataConfig(n_train=120, n_test=60),
         seed=0,
         local=LocalTrainConfig(epochs=1, batch_size=10),
     ).to_json()

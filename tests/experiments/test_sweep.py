@@ -18,7 +18,7 @@ from repro.experiments import (
     run_sweep,
     smoke_spec,
 )
-from repro.federated import Federation, FederationConfig, SystemsConfig
+from repro.federated import DataConfig, Federation, FederationConfig, SystemsConfig
 from repro.pruning import UnstructuredConfig
 
 
@@ -30,8 +30,7 @@ def tiny_config(**overrides) -> FederationConfig:
         num_clients=4,
         rounds=2,
         sample_fraction=0.5,
-        n_train=96,
-        n_test=48,
+        data=DataConfig(n_train=96, n_test=48),
         seed=0,
     )
     defaults.update(overrides)
@@ -108,10 +107,10 @@ class TestSpecExpansion:
             name="grid",
             datasets=("mnist",),
             algorithms=("fedavg",),
-            base={"partition": "dirichlet"},
+            base={"data": {"partition": "dirichlet"}},
             overrides={
-                "alpha=0.1": {"dirichlet_alpha": 0.1},
-                "alpha=5": {"dirichlet_alpha": 5.0},
+                "alpha=0.1": {"data": {"dirichlet_alpha": 0.1}},
+                "alpha=5": {"data": {"dirichlet_alpha": 5.0}},
             },
         )
         cells = spec.expand()
@@ -119,9 +118,11 @@ class TestSpecExpansion:
             "grid/mnist/fedavg/alpha=0.1/seed0",
             "grid/mnist/fedavg/alpha=5/seed0",
         ]
-        assert all(cell.config.partition == "dirichlet" for cell in cells)
-        assert cells[0].config.dirichlet_alpha == 0.1
-        assert cells[1].config.dirichlet_alpha == 5.0
+        assert all(cell.config.data.partition == "dirichlet" for cell in cells)
+        assert cells[0].config.data.dirichlet_alpha == 0.1
+        assert cells[1].config.data.dirichlet_alpha == 5.0
+        # The preset's sizes survive the merged data overrides.
+        assert cells[0].config.data.n_train == PRESETS["smoke"].n_train
 
     def test_eval_every_override_routes_to_dedicated_parameter(self):
         spec = SweepSpec(
@@ -176,15 +177,38 @@ class TestConfigHash:
         assert a.config_hash == b.config_hash
 
 
+class TestGridHashPins:
+    """Cell hashes of the data-scenario ablation grids, pinned while their
+    overrides were flat keywords: re-spelling them as nested ``data``
+    mappings must not orphan stored sweep results."""
+
+    @pytest.mark.parametrize(
+        "grid, key, expected",
+        [
+            ("heterogeneity", "sub-fedavg-un/alpha=0.1", "b4b8ebb3c7ac90e7"),
+            ("heterogeneity", "fedavg/alpha=5", "4925c9b2c8e1f7f3"),
+            ("partition", "sub-fedavg-un/label-k", "8426b454ac38becb"),
+            ("partition", "fedavg/iid", "b0e6507bf7ba5897"),
+        ],
+    )
+    def test_expanded_cell_hash_pinned(self, grid, key, expected):
+        from repro.experiments import heterogeneity_spec, partition_spec
+
+        spec = {"heterogeneity": heterogeneity_spec, "partition": partition_spec}[grid]
+        cells = {cell.key: cell for cell in spec("mnist").expand()}
+        cell = cells[f"ablate-{grid}/mnist/{key}/seed0"]
+        assert cell.config.stable_hash() == expected
+
+
 class TestOverrideCollision:
     def test_preset_derived_override_raises_clear_error(self):
         with pytest.raises(ValueError, match="rounds"):
             run_algorithm("mnist", "fedavg", "smoke", rounds=2)
 
     def test_error_names_every_colliding_field(self):
-        with pytest.raises(ValueError, match=r"\['n_train', 'rounds'\]"):
+        with pytest.raises(ValueError, match=r"\['data.n_train', 'rounds'\]"):
             federation_config(
-                "mnist", "fedavg", get_preset("smoke"), rounds=2, n_train=10
+                "mnist", "fedavg", get_preset("smoke"), rounds=2, data={"n_train": 10}
             )
 
     def test_non_derived_overrides_still_pass_through(self):
@@ -192,11 +216,10 @@ class TestOverrideCollision:
             "mnist",
             "fedavg",
             get_preset("smoke"),
-            partition="dirichlet",
-            dirichlet_alpha=0.3,
+            data={"partition": "dirichlet", "dirichlet_alpha": 0.3},
             backend="thread",
         )
-        assert config.partition == "dirichlet"
+        assert config.data.partition == "dirichlet"
         assert config.backend == "thread"
 
     def test_registry_override_helpers_flow_through(self):

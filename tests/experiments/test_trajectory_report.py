@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import ResultStore, run_fig1_trajectory
 from repro.experiments.report import build_report
-from repro.federated import FederationConfig, LocalTrainConfig, make_clients
+from repro.federated import DataConfig, FederationConfig, LocalTrainConfig, make_clients
 from repro.federated.builder import model_factory
 from repro.federated.trainers.subfedavg import SubFedAvgUn, TrajectoryPoint
 from repro.pruning import UnstructuredConfig
@@ -17,7 +17,7 @@ class TestTrajectoryTracking:
     def make_trainer(self, track):
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-un", num_clients=3,
-            n_train=120, n_test=60, seed=0,
+            data=DataConfig(n_train=120, n_test=60), seed=0,
             local=LocalTrainConfig(epochs=1, batch_size=10),
         )
         clients = make_clients(config)

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.federated import (
     ClientTask,
+    DataConfig,
     Federation,
     FederationConfig,
     LocalTrainConfig,
@@ -34,8 +35,7 @@ def tiny_config(**overrides):
         rounds=2,
         sample_fraction=0.5,
         seed=0,
-        n_train=160,
-        n_test=80,
+        data=DataConfig(n_train=160, n_test=80),
         local=LocalTrainConfig(epochs=1, batch_size=10),
     )
     base.update(overrides)
@@ -155,8 +155,7 @@ class TestAsyncRunsUnderEviction:
         config = tiny_config(
             num_clients=6,
             rounds=4,
-            n_train=240,
-            n_test=120,
+            data=DataConfig(n_train=240, n_test=120),
             client_cache=client_cache,
             scenario={"profiles": ("edge-phone", "raspberry-pi")},
             systems=SystemsConfig(

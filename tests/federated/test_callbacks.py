@@ -8,6 +8,7 @@ from repro.federated import (
     Callback,
     CallbackList,
     CheckpointCallback,
+    DataConfig,
     EarlyStopping,
     Federation,
     FederationConfig,
@@ -24,8 +25,7 @@ def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg", systems=None):
         num_clients=3,
         rounds=rounds,
         sample_fraction=1.0,
-        n_train=120,
-        n_test=60,
+        data=DataConfig(n_train=120, n_test=60),
         seed=0,
         eval_every=eval_every,
         local=LocalTrainConfig(epochs=1, batch_size=10),

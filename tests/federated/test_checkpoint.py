@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    DataConfig,
     FedAvg,
     FederationConfig,
     LocalTrainConfig,
     load_checkpoint,
+    CheckpointCallback,
     make_clients,
-    run_with_checkpoints,
     save_checkpoint,
 )
 from repro.federated.builder import build_trainer, model_factory
@@ -21,7 +22,8 @@ from repro.pruning import UnstructuredConfig
 def make_config(algorithm="sub-fedavg-un", rounds=4, **overrides):
     fields = dict(
         dataset="mnist", algorithm=algorithm, num_clients=3,
-        rounds=rounds, sample_fraction=1.0, n_train=120, n_test=60, seed=0,
+        rounds=rounds, sample_fraction=1.0, seed=0,
+        data=DataConfig(n_train=120, n_test=60),
         local=LocalTrainConfig(epochs=1, batch_size=10),
         unstructured=UnstructuredConfig(
             target_rate=0.5, step=0.25, epsilon=0.0, acc_threshold=0.0
@@ -68,7 +70,10 @@ class TestSaveLoad:
         moves); a cache smaller than the population must still spill it
         instead of dropping it on eviction."""
         config = make_config(
-            algorithm, num_clients=6, n_train=240, n_test=120, client_cache=2
+            algorithm,
+            num_clients=6,
+            data=DataConfig(n_train=240, n_test=120),
+            client_cache=2,
         )
         trainer = make_trainer(config)
         trainer._round(1, trainer.sampler.sample())
@@ -87,7 +92,9 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("algorithm", ["sub-fedavg-un", "sub-fedavg-hy"])
     def test_resume_seeds_mean_sparsities(self, tmp_path, algorithm):
-        config = make_config(algorithm, num_clients=6, n_train=240, n_test=120)
+        config = make_config(
+            algorithm, num_clients=6, data=DataConfig(n_train=240, n_test=120)
+        )
         trainer = make_trainer(config)
         trainer._round(1, [0, 2, 3])
         path = tmp_path / "ckpt.pkl"
@@ -116,7 +123,7 @@ class TestSaveLoad:
         save_checkpoint(path, trainer, 1)
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-un", num_clients=5,
-            n_train=200, n_test=60, seed=0,
+            data=DataConfig(n_train=200, n_test=60), seed=0,
             local=LocalTrainConfig(epochs=1),
             unstructured=UnstructuredConfig(),
         )
@@ -126,10 +133,12 @@ class TestSaveLoad:
 
 
 class TestRunWithCheckpoints:
+    """Whole runs driven by :class:`CheckpointCallback`."""
+
     def test_completes_and_checkpoints(self, tmp_path):
         trainer = make_trainer(make_config(rounds=4))
         path = tmp_path / "ckpt.pkl"
-        history = run_with_checkpoints(trainer, path, every=2)
+        history = trainer.run(callbacks=[CheckpointCallback(path, every=2)])
         assert len(history.rounds) == 4
         assert history.final_accuracy is not None
         assert path.exists()
@@ -138,11 +147,11 @@ class TestRunWithCheckpoints:
         path = tmp_path / "ckpt.pkl"
         # Run the first half and checkpoint.
         first = make_trainer(make_config(rounds=2))
-        run_with_checkpoints(first, path, every=1)
+        first.run(callbacks=[CheckpointCallback(path, every=1)])
 
         # Resume into a 4-round trainer: only rounds 3-4 should execute.
         resumed = make_trainer(make_config(rounds=4))
-        history = run_with_checkpoints(resumed, path, every=1, resume=True)
+        history = resumed.run(callbacks=[CheckpointCallback(path, every=1)])
         assert len(history.rounds) == 4
         assert history.rounds[0].round_index == 1  # restored from checkpoint
         assert history.rounds[-1].round_index == 4
@@ -150,21 +159,17 @@ class TestRunWithCheckpoints:
     def test_no_resume_starts_fresh(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
         first = make_trainer(make_config(rounds=2))
-        run_with_checkpoints(first, path, every=1)
+        first.run(callbacks=[CheckpointCallback(path, every=1)])
         fresh = make_trainer(make_config(rounds=2))
-        history = run_with_checkpoints(fresh, path, every=1, resume=False)
+        history = fresh.run(callbacks=[CheckpointCallback(path, every=1, resume=False)])
         assert len(history.rounds) == 2
-
-    def test_invalid_every(self, tmp_path):
-        trainer = make_trainer(make_config())
-        with pytest.raises(ValueError):
-            run_with_checkpoints(trainer, tmp_path / "x.pkl", every=0)
 
     def test_resumes_a_history_with_wall_clock_seconds(self, tmp_path):
         """Checkpoints pickled before ``wall_clock_seconds`` was folded into
         ``simulated_seconds`` still resume, keeping their seconds."""
         path = tmp_path / "ckpt.pkl"
-        run_with_checkpoints(make_trainer(make_config(rounds=2)), path, every=1)
+        first = make_trainer(make_config(rounds=2))
+        first.run(callbacks=[CheckpointCallback(path, every=1)])
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
         history = payload["history"]
@@ -177,6 +182,6 @@ class TestRunWithCheckpoints:
             pickle.dump(payload, handle)
 
         resumed = make_trainer(make_config(rounds=4))
-        result = run_with_checkpoints(resumed, path, every=1)
+        result = resumed.run(callbacks=[CheckpointCallback(path, every=1)])
         assert [r.round_index for r in result.rounds] == [1, 2, 3, 4]
         assert [r.simulated_seconds for r in result.rounds[:2]] == [1.25, 2.5]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.federated import (
+    DataConfig,
     FedAvgCompressed,
     FederationConfig,
     IdentityCompressor,
@@ -317,7 +318,7 @@ class TestCompressedTrainer:
     def make_trainer(self, compressor=None, **kwargs):
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=4,
-            n_train=160, n_test=80, seed=0,
+            data=DataConfig(n_train=160, n_test=80), seed=0,
             local=LocalTrainConfig(epochs=1, batch_size=10),
         )
         clients = make_clients(config)

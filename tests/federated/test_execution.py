@@ -15,6 +15,7 @@ from repro.federated import (
     Callback,
     ClientTask,
     ClientUpdate,
+    DataConfig,
     Federation,
     FederationConfig,
     LocalTrainConfig,
@@ -44,8 +45,7 @@ def small_config(algorithm, backend, **overrides):
         num_clients=6,
         rounds=2,
         sample_fraction=0.5,
-        n_train=240,
-        n_test=120,
+        data=DataConfig(n_train=240, n_test=120),
         seed=0,
         eval_every=1,
         backend=backend,

@@ -22,8 +22,7 @@ def tiny_config(**overrides):
         num_clients=3,
         rounds=2,
         sample_fraction=1.0,
-        n_train=120,
-        n_test=60,
+        data=DataConfig(n_train=120, n_test=60),
         seed=0,
         local=LocalTrainConfig(epochs=1, batch_size=10),
     )
@@ -116,35 +115,38 @@ class TestLegacyConfigMigration:
 
     def test_flat_payload_equals_nested_equivalent(self):
         legacy = FederationConfig.from_dict(LEGACY_PAYLOAD)
-        nested = tiny_config(
-            data=DataConfig(n_train=120, n_test=60), n_train=None, n_test=None
-        )
-        assert legacy == nested
+        assert legacy == tiny_config()
         assert legacy.data == DataConfig(n_train=120, n_test=60)
         assert legacy.scenario == ScenarioConfig()
 
-    def test_flat_constructor_kwargs_still_fold_into_data(self):
-        config = FederationConfig(
-            dataset="mnist", algorithm="fedavg",
-            partition="dirichlet", dirichlet_alpha=0.3, shards_per_client=3,
-        )
-        assert config.data.partition == "dirichlet"
-        assert config.data.dirichlet_alpha == 0.3
-        # The flat read aliases proxy to the data section.
-        assert config.partition == "dirichlet"
-        assert config.shards_per_client == 3
+    def test_flat_keywords_are_not_constructor_arguments(self):
+        """In code the nested ``data`` section is the only spelling."""
+        with pytest.raises(TypeError):
+            FederationConfig(dataset="mnist", algorithm="fedavg", n_train=10)
+        assert not hasattr(FederationConfig(), "n_train")
 
     def test_post_legacy_data_fields_accepted_flat_too(self):
-        """Every DataConfig field works as a flat keyword, not just the
-        six the old schema had — so registry-declared partitioner knobs
-        (labels_per_client, min_size, ...) are reachable from overrides."""
-        config = FederationConfig(
-            dataset="mnist", algorithm="fedavg",
-            partition="label-k", labels_per_client=3, min_size=4,
+        """Every DataConfig field folds from a flat payload key, not just
+        the six the old schema had."""
+        config = FederationConfig.from_dict({
+            "dataset": "mnist", "algorithm": "fedavg",
+            "partition": "label-k", "labels_per_client": 3, "min_size": 4,
+        })
+        assert config.data == DataConfig(
+            partition="label-k", labels_per_client=3, min_size=4
         )
-        assert config.data.labels_per_client == 3
-        assert config.data.min_size == 4
-        assert config.labels_per_client == 3
+
+    def test_flat_key_merges_with_data_section(self):
+        config = FederationConfig.from_dict({
+            "dataset": "mnist", "algorithm": "fedavg",
+            "partition": "dirichlet", "data": {"dirichlet_alpha": 0.3},
+        })
+        assert config.data == DataConfig(partition="dirichlet", dirichlet_alpha=0.3)
+
+    def test_field_set_flat_and_nested_rejected(self):
+        payload = dict(LEGACY_PAYLOAD, data={"n_train": 200})
+        with pytest.raises(ValueError, match=r"\['n_train'\]"):
+            FederationConfig.from_dict(payload)
 
     def test_stable_hash_unchanged_from_flat_schema_era(self):
         """Hashes pinned from the PR-3 tree: result stores must resume."""
@@ -158,7 +160,9 @@ class TestLegacyConfigMigration:
         )
         dirichlet = FederationConfig(
             dataset="emnist", algorithm="sub-fedavg-un",
-            partition="dirichlet", dirichlet_alpha=0.3, shards_per_client=3,
+            data=DataConfig(
+                partition="dirichlet", dirichlet_alpha=0.3, shards_per_client=3
+            ),
             unstructured=UnstructuredConfig(target_rate=0.5, step=0.2),
         )
         assert dirichlet.stable_hash() == "4d9e3dbba52508f6"
@@ -177,7 +181,7 @@ class TestLegacyConfigMigration:
         value (either mode priced identically) is dropped on load."""
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=6, rounds=2,
-            seed=0, n_train=240, n_test=120,
+            seed=0, data=DataConfig(n_train=240, n_test=120),
             systems=SystemsConfig(
                 round_policy="deadline", deadline_seconds=1.0,
                 flops_per_example=1e6, examples_per_round=100.0,
@@ -202,9 +206,7 @@ class TestLegacyConfigMigration:
 
     def test_flat_payload_replays_identically_to_nested(self):
         legacy_run = Federation.from_dict(LEGACY_PAYLOAD).run()
-        nested_run = Federation.from_config(
-            tiny_config(data=DataConfig(n_train=120, n_test=60), n_train=None, n_test=None)
-        ).run()
+        nested_run = Federation.from_config(tiny_config()).run()
         assert legacy_run.final_accuracy == nested_run.final_accuracy
         assert (
             legacy_run.final_per_client_accuracy
@@ -248,3 +250,14 @@ class TestFederationFacade:
         assert replayed.final_accuracy == original.final_accuracy
         assert replayed.total_communication_bytes == original.total_communication_bytes
         assert replayed.final_per_client_accuracy == original.final_per_client_accuracy
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "name, value", [("num_clients", 0), ("num_clients", -1), ("eval_every", -2)]
+    )
+    def test_bad_counts_rejected_by_name(self, name, value):
+        """``num_clients=0`` used to die in the partitioner with a bare
+        ZeroDivisionError; ``eval_every=-2`` evaluated on even rounds."""
+        with pytest.raises(ValueError, match=name):
+            FederationConfig(dataset="mnist", algorithm="fedavg", **{name: value})

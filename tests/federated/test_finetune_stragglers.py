@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    DataConfig,
     FedAvg,
     FedAvgFinetune,
     FederationConfig,
@@ -17,7 +18,7 @@ from repro.federated.builder import model_factory
 def make_config(**overrides):
     defaults = dict(
         dataset="mnist", algorithm="fedavg", num_clients=6,
-        n_train=240, n_test=120, seed=0,
+        data=DataConfig(n_train=240, n_test=120), seed=0,
         local=LocalTrainConfig(epochs=2, batch_size=10),
     )
     defaults.update(overrides)

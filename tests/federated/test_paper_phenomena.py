@@ -9,6 +9,7 @@ import pytest
 
 from repro.data.partition import label_overlap
 from repro.federated import (
+    DataConfig,
     FederationConfig,
     LocalTrainConfig,
     build_trainer,
@@ -24,8 +25,7 @@ def run_federation(algorithm, seed=11, rounds=5, **extra):
         num_clients=8,
         rounds=rounds,
         sample_fraction=1.0,
-        n_train=480,
-        n_test=240,
+        data=DataConfig(n_train=480, n_test=240),
         seed=seed,
         local=LocalTrainConfig(epochs=3, batch_size=10),
         **extra,

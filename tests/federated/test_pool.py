@@ -17,6 +17,7 @@ import pytest
 
 from repro.federated import (
     ClientPool,
+    DataConfig,
     Federation,
     FederationConfig,
     FileStateStore,
@@ -38,8 +39,7 @@ def tiny_config(**overrides):
         sample_fraction=0.5,
         seed=0,
         eval_every=1,
-        n_train=240,
-        n_test=120,
+        data=DataConfig(n_train=240, n_test=120),
         local=LocalTrainConfig(epochs=1, batch_size=10),
     )
     base.update(overrides)
@@ -241,8 +241,7 @@ class TestLazySubFedAvgRounds:
             rounds=4,
             sample_fraction=0.5,
             eval_every=0,
-            n_train=320,
-            n_test=160,
+            data=DataConfig(n_train=320, n_test=160),
             unstructured=UnstructuredConfig(epsilon=0.0, acc_threshold=0.0),
             **extra,
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.federated import (
+    DataConfig,
     FedAvg,
     FederationConfig,
     LocalTrainConfig,
@@ -103,7 +104,7 @@ class TestRegistration:
         try:
             config = FederationConfig(
                 dataset="mnist", algorithm="unit-test-algo", num_clients=3,
-                rounds=2, n_train=120, n_test=60,
+                rounds=2, data=DataConfig(n_train=120, n_test=60),
                 local=LocalTrainConfig(epochs=1),
             )
             clients = make_clients(config)
@@ -129,7 +130,8 @@ class TestBuilderDispatch:
     def test_trainer_overrides_forwarded(self):
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-un", num_clients=3,
-            rounds=2, n_train=120, n_test=60, local=LocalTrainConfig(epochs=1),
+            rounds=2, data=DataConfig(n_train=120, n_test=60),
+            local=LocalTrainConfig(epochs=1),
         )
         trainer = build_trainer(config, make_clients(config), aggregator="zerofill")
         assert isinstance(trainer, SubFedAvgUn)
@@ -142,8 +144,8 @@ class TestBuilderDispatch:
         st = StructuredConfig(target_rate=0.2)
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-hy", num_clients=3,
-            rounds=2, n_train=120, n_test=60, local=LocalTrainConfig(epochs=1),
-            unstructured=un, structured=st,
+            rounds=2, data=DataConfig(n_train=120, n_test=60),
+            local=LocalTrainConfig(epochs=1), unstructured=un, structured=st,
         )
         trainer = build_trainer(config, make_clients(config))
         assert isinstance(trainer, SubFedAvgHy)

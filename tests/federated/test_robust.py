@@ -6,6 +6,7 @@ import pytest
 from repro.federated import (
     AvailabilityModel,
     CorruptionModel,
+    DataConfig,
     FederationConfig,
     LocalTrainConfig,
     RobustFedAvg,
@@ -89,7 +90,7 @@ class TestRobustTrainer:
     def make_trainer(self, **kwargs):
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=6,
-            n_train=240, n_test=80, seed=0,
+            data=DataConfig(n_train=240, n_test=80), seed=0,
             local=LocalTrainConfig(epochs=1, batch_size=10),
         )
         clients = make_clients(config)

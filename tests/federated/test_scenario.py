@@ -6,6 +6,7 @@ import pytest
 from repro.federated import (
     AvailabilitySampler,
     ClientSampler,
+    DataConfig,
     Federation,
     FederationConfig,
     FixedSampler,
@@ -62,7 +63,7 @@ class TestSamplerRegistry:
         try:
             config = FederationConfig(
                 dataset="mnist", algorithm="fedavg", num_clients=3, rounds=2,
-                sample_fraction=1.0, n_train=120, n_test=60,
+                sample_fraction=1.0, data=DataConfig(n_train=120, n_test=60),
                 local=LocalTrainConfig(epochs=1, batch_size=10),
                 scenario=ScenarioConfig(sampler="first-client"),
             )
@@ -220,7 +221,7 @@ class TestAvailabilitySampler:
         """Same config, same history — the sampler draws from its own seed."""
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=4, rounds=3,
-            sample_fraction=1.0, n_train=120, n_test=60,
+            sample_fraction=1.0, data=DataConfig(n_train=120, n_test=60),
             local=LocalTrainConfig(epochs=1, batch_size=10),
             scenario=ScenarioConfig(
                 sampler="availability", participation=0.6, dropout=0.2

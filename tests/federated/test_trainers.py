@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    DataConfig,
     FederationConfig,
     History,
     LocalTrainConfig,
-    build_federation,
     build_trainer,
     make_clients,
 )
@@ -18,8 +18,7 @@ FAST = dict(
     num_clients=4,
     rounds=2,
     sample_fraction=0.5,
-    n_train=160,
-    n_test=80,
+    data=DataConfig(n_train=160, n_test=80),
     seed=0,
     local=LocalTrainConfig(epochs=1, batch_size=10),
 )
@@ -28,7 +27,8 @@ FAST = dict(
 def run(algorithm, **overrides):
     kwargs = dict(FAST, dataset="mnist", algorithm=algorithm)
     kwargs.update(overrides)
-    trainer = build_federation(**kwargs)
+    config = FederationConfig(**kwargs)
+    trainer = build_trainer(config, make_clients(config))
     return trainer, trainer.run()
 
 
@@ -123,9 +123,7 @@ class TestSubFedAvgMechanics:
 class TestBuilder:
     def test_unknown_algorithm_raises(self):
         with pytest.raises(KeyError):
-            build_federation(dataset="mnist", algorithm="bogus", **{
-                k: v for k, v in FAST.items()
-            })
+            FederationConfig(dataset="mnist", algorithm="bogus", **FAST)
 
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
@@ -134,7 +132,7 @@ class TestBuilder:
     def test_fedprox_gets_default_mu(self):
         config = FederationConfig(
             dataset="mnist", algorithm="fedprox", num_clients=4,
-            n_train=160, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=160, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         assert all(client.config.prox_mu > 0 for client in clients)
@@ -142,7 +140,7 @@ class TestBuilder:
     def test_mtl_gets_default_lambda(self):
         config = FederationConfig(
             dataset="mnist", algorithm="mtl", num_clients=4,
-            n_train=160, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=160, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         assert all(client.config.mtl_lambda > 0 for client in clients)
@@ -152,7 +150,7 @@ class TestBuilder:
 
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-hy", num_clients=4,
-            n_train=160, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=160, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         trainer = build_trainer(config, make_clients(config))
         assert isinstance(trainer, SubFedAvgHy)
@@ -160,7 +158,7 @@ class TestBuilder:
     def test_all_clients_start_from_same_weights(self):
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=3,
-            n_train=120, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=120, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         reference = clients[0].state_dict()
@@ -173,7 +171,7 @@ class TestBuilder:
 
         config = FederationConfig(
             dataset="mnist", algorithm="fedavg", num_clients=2,
-            n_train=80, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=80, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         from repro.federated import FedAvg

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.federated import zero_fill_average
+from repro.federated import DataConfig, zero_fill_average
 from repro.pruning import MaskSet
 
 
@@ -48,7 +48,7 @@ class TestTrainerIntegration:
 
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-un", num_clients=2,
-            n_train=80, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=80, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         with pytest.raises(ValueError, match="aggregator"):
@@ -64,7 +64,7 @@ class TestTrainerIntegration:
 
         config = FederationConfig(
             dataset="mnist", algorithm="sub-fedavg-un", num_clients=2,
-            n_train=80, n_test=40, local=LocalTrainConfig(epochs=1),
+            data=DataConfig(n_train=80, n_test=40), local=LocalTrainConfig(epochs=1),
         )
         clients = make_clients(config)
         trainer = SubFedAvgUn(

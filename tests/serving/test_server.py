@@ -15,6 +15,7 @@ import pytest
 
 from repro.federated import (
     CompressionConfig,
+    DataConfig,
     Federation,
     FederationConfig,
     LocalTrainConfig,
@@ -39,8 +40,7 @@ def tiny_config(**overrides):
         sample_fraction=0.5,
         seed=0,
         eval_every=1,
-        n_train=160,
-        n_test=80,
+        data=DataConfig(n_train=160, n_test=80),
         local=LocalTrainConfig(epochs=1, batch_size=10),
     )
     base.update(overrides)
@@ -86,8 +86,7 @@ class TestAsyncBufferEquivalence:
         config = tiny_config(
             num_clients=6,
             rounds=4,
-            n_train=240,
-            n_test=120,
+            data=DataConfig(n_train=240, n_test=120),
             scenario=SCENARIO,
             systems=SystemsConfig(
                 round_policy="async-buffer", buffer_size=2, **PRICING

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.federated import AvailabilitySampler, ScenarioConfig
+from repro.federated import AvailabilitySampler, DataConfig, ScenarioConfig
 from repro.systems import (
     DEVICE_PROFILES,
     EDGE_PHONE,
@@ -138,8 +138,7 @@ class TestScenarioWiring:
             algorithm="fedavg",
             num_clients=3,
             rounds=1,
-            n_train=60,
-            n_test=30,
+            data=DataConfig(n_train=60, n_test=30),
             scenario=ScenarioConfig(
                 fleet="profile-list",
                 client_profiles=("edge-phone", "raspberry-pi", "workstation"),

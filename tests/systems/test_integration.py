@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    DataConfig,
     DiurnalSampler,
     Federation,
     FederationConfig,
@@ -38,8 +39,7 @@ def tiny_config(algorithm="fedavg", systems=None, **overrides):
         sample_fraction=0.5,
         seed=0,
         eval_every=1,
-        n_train=240,
-        n_test=120,
+        data=DataConfig(n_train=240, n_test=120),
         scenario=SCENARIO,
         systems=systems,
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    DataConfig,
     EDGE_PHONE,
     Federation,
     FederationConfig,
@@ -139,8 +140,7 @@ class TestHierarchicalFleet:
             rounds=2,
             sample_fraction=0.5,
             seed=0,
-            n_train=240,
-            n_test=120,
+            data=DataConfig(n_train=240, n_test=120),
             scenario=ScenarioConfig(
                 profiles=("edge-phone", "raspberry-pi"),
                 fleet="hierarchical",
@@ -163,7 +163,7 @@ class TestHashGating:
     def base(self, **overrides):
         settings = dict(
             dataset="mnist", algorithm="fedavg", num_clients=6, rounds=2,
-            seed=0, n_train=240, n_test=120,
+            seed=0, data=DataConfig(n_train=240, n_test=120),
         )
         settings.update(overrides)
         return FederationConfig(**settings)
