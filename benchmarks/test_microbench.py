@@ -1,8 +1,9 @@
 """Micro-benchmarks of the substrate's hot paths.
 
 These quantify the per-round cost drivers of the federation simulator:
-convolution forward/backward, one client SGD step, mask derivation and the
-Sub-FedAvg intersection average.
+convolution forward/backward, one client SGD step, the evaluation forward
+(``no_grad``, no pool argmax), mask derivation and the Sub-FedAvg
+intersection average.
 """
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from repro import nn
 from repro.federated import intersection_average
+from repro.federated.evaluation import EVAL_CHUNK
 from repro.models import LeNet5, create_model
 from repro.optim import SGD
 from repro.pruning import MaskSet, bn_scale_channel_mask, magnitude_mask
-from repro.tensor import Tensor, conv2d
+from repro.tensor import Tensor, conv2d, max_pool2d, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,33 @@ def test_conv_backward(benchmark, rng=np.random.default_rng(0)):
         for tensor in (x, w, b):
             tensor.zero_grad()
         conv2d(x, w, b).sum().backward()
+
+    benchmark(run)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_max_pool_forward(benchmark, rng=np.random.default_rng(0)):
+    """LeNet's first pool on one evaluation chunk, outside any graph."""
+    x = Tensor(rng.normal(size=(EVAL_CHUNK, 6, 28, 28)))
+
+    def run():
+        with no_grad():
+            return max_pool2d(x, 2)
+
+    benchmark(run)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_lenet_inference_forward(benchmark, lenet, rng=np.random.default_rng(0)):
+    """One evaluation chunk through LeNet-5 in eval mode, as ``predict`` runs it."""
+    images = Tensor(rng.normal(size=(EVAL_CHUNK, 3, 32, 32)))
+
+    def run():
+        lenet.eval()
+        with no_grad():
+            logits = lenet(images)
+        lenet.train()
+        return logits
 
     benchmark(run)
 

@@ -86,17 +86,17 @@ _register("matmul", lambda attrs, a, b: a @ b)
 def im2col(
     padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int, out_h: int, out_w: int
 ) -> np.ndarray:
-    """Unfold a padded ``(N, C, H, W)`` batch into ``(N, C*kh*kw, out_h*out_w)``."""
+    """Unfold a padded ``(N, C, H, W)`` batch into ``(N, C*kh*kw, out_h*out_w)``.
+
+    One copy of a strided window view, laid out ``(N, C, kh, kw, oh, ow)``.
+    """
     batch, channels = padded.shape[:2]
-    cols = np.empty(
-        (batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=padded.dtype
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kernel_h, kernel_w), axis=(2, 3)
+    )[:, :, ::stride, ::stride][:, :, :out_h, :out_w]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+        batch, channels * kernel_h * kernel_w, out_h * out_w
     )
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            cols[:, :, i, j] = padded[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(batch, channels * kernel_h * kernel_w, out_h * out_w)
 
 
 def col2im(
@@ -133,7 +133,7 @@ def _conv2d_kernel(attrs, x, weight, bias=None):
     w2d = weight.reshape(out_channels, -1)
     result = (w2d @ cols).reshape(batch, out_channels, out_h, out_w)
     if bias is not None:
-        result = result + bias.reshape(1, -1, 1, 1)
+        result += bias.reshape(1, -1, 1, 1)
     return result, {"cols": cols, "w2d": w2d, "padded_shape": padded.shape}
 
 
@@ -141,19 +141,24 @@ _register("conv2d", _conv2d_kernel, saves=True)
 
 
 def _max_pool2d_kernel(attrs, x):
+    """Running ``np.maximum`` over the k² strided window views of ``x``.
+
+    ``np.maximum`` returns its second operand on ties, so the running max
+    keeps the first of equal values (``-0.0`` vs ``0.0`` after ReLU) as
+    ``np.argmax`` would.  The first-max window index (strict ``>``, the same
+    tie-break) is tracked only when ``attrs["requires_grad"]``; otherwise
+    ``saved["argmax"]`` is ``None``.
+    """
     kernel, stride = attrs["kernel"], attrs["stride"]
     out_h, out_w = attrs["out_shape"][-2:]
-    batch, channels = x.shape[:2]
-    windows = np.empty((batch, channels, out_h, out_w, kernel * kernel), dtype=x.dtype)
-    idx = 0
-    for i in range(kernel):
-        i_end = i + stride * out_h
-        for j in range(kernel):
-            j_end = j + stride * out_w
-            windows[..., idx] = x[:, :, i:i_end:stride, j:j_end:stride]
-            idx += 1
-    argmax = windows.argmax(axis=-1)
-    value = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    value = x[:, :, : stride * out_h : stride, : stride * out_w : stride].copy()
+    argmax = np.zeros(value.shape, dtype=np.intp) if attrs["requires_grad"] else None
+    for idx in range(1, kernel * kernel):
+        i, j = divmod(idx, kernel)
+        window = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        if argmax is not None:
+            np.copyto(argmax, idx, where=window > value)
+        np.maximum(window, value, out=value)
     return value, {"argmax": argmax}
 
 

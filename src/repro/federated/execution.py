@@ -317,9 +317,6 @@ def default_worker_count(workers: int = 0) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-_default_workers = default_worker_count  # backward-compatible alias
-
-
 class ExecutionBackend:
     """Strategy interface: run a batch of tasks, return updates in order."""
 
@@ -363,7 +360,7 @@ class ThreadBackend(ExecutionBackend):
     concurrent_in_process = True
 
     def __init__(self, workers: int = 0) -> None:
-        self.workers = _default_workers(workers)
+        self.workers = default_worker_count(workers)
 
     def run(self, tasks, clients, global_state):
         if len(tasks) <= 1:
@@ -523,7 +520,7 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, workers: int = 0, start_method: Optional[str] = None) -> None:
-        self.workers = _default_workers(workers)
+        self.workers = default_worker_count(workers)
         self.pool = WorkerPool(workers=self.workers, start_method=start_method)
 
     @property

@@ -8,11 +8,13 @@ federated experiments train hundreds of client models.
 Forward values dispatch through :func:`~repro.engine.ops.run_kernel` like
 the primitive tensor ops do; the kernels of convolution, pooling and
 log-softmax also return *saved* intermediates (im2col columns, pool argmax,
-softmax) that the backward closures read.  Two ops differ:
+softmax) that the backward closures read; pooling computes its argmax only
+when the output will record a backward.  Two ops differ:
 
 * :func:`batch_norm` computes directly in numpy, outside the kernel table,
   because it also updates its running statistics in place at call time
-  (PyTorch semantics).
+  (PyTorch semantics).  Without a backward to feed it normalizes in place
+  on one buffer.
 * :func:`dropout` draws its mask from the caller's RNG and dispatches only
   the masking multiply.
 """
@@ -96,11 +98,14 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     out_w = _conv_output_size(width, kernel, stride, 0)
     _check_output_size("max-pool", out_h, out_w)
 
-    out_shape = (batch, channels, out_h, out_w)
-    attrs = {"kernel": kernel, "stride": stride, "out_shape": out_shape}
-    value, saved = _apply("max_pool2d", (x._data,), attrs)
-
     requires = grad_enabled() and x.requires_grad
+    attrs = {
+        "kernel": kernel,
+        "stride": stride,
+        "out_shape": (batch, channels, out_h, out_w),
+        "requires_grad": requires,
+    }
+    value, saved = _apply("max_pool2d", (x._data,), attrs)
     out = _make(value, requires, (x,))
     if requires:
 
@@ -147,30 +152,35 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
 
+    parents = (x, gamma, beta)
+    requires = grad_enabled() and any(p.requires_grad for p in parents)
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # np.var's own steps (sum / count of squared deviations), sharing
+        # the centred batch with the normalization below.
+        mean = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mean
+        var = np.square(centered).sum(axis=axes) / count
         if count > 1:
             unbiased = var * count / (count - 1)
         else:
             unbiased = var
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean.reshape(-1)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean
+        centered = x.data - running_mean.reshape(shape)
         var = running_var
 
     # Clamp to non-negative: running_var loaded from an untrusted state dict
     # (e.g. a corrupted federated upload) may be negative, and NaNs here
     # would silently poison every downstream activation.
     inv_std = 1.0 / np.sqrt(np.maximum(var, 0.0) + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    result = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    x_hat = np.multiply(centered, inv_std.reshape(shape), out=centered)
+    # The backward closure reads x_hat; with no backward, scale it in place.
+    result = np.multiply(gamma.data.reshape(shape), x_hat, out=None if requires else x_hat)
+    result += beta.data.reshape(shape)
 
-    parents = (x, gamma, beta)
-    requires = grad_enabled() and any(p.requires_grad for p in parents)
     out = _make(result, requires, parents)
     if requires:
 

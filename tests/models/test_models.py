@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import CNN5, LeNet5, MLP, create_model, parameter_census
 from repro.models.registry import input_spatial_size
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 class TestLeNet5:
@@ -163,3 +163,23 @@ class TestPruningMetadata:
     def test_fc_weight_names_subset_of_prunable(self):
         model = create_model("mnist")
         assert set(model.fc_weight_names()) <= set(model.prunable_weight_names())
+
+
+class TestNoGradForward:
+    """The inference kernels (no pool argmax, in-place batch norm) must give
+    the logits of the recording kernels, bit for bit."""
+
+    @pytest.mark.parametrize("cls,shape", [(LeNet5, (3, 32, 32)), (CNN5, (1, 28, 28))])
+    def test_eval_logits_bit_identical(self, rng, cls, shape):
+        model = cls(num_classes=10, in_channels=shape[0], rng=rng)
+        for name, param in model.named_parameters():
+            if name.startswith("bn"):
+                param.data = rng.normal(loc=0.5, size=param.shape)
+        model(Tensor(rng.normal(size=(8,) + shape)))  # running stats
+        model.eval()
+        x = Tensor(rng.normal(size=(5,) + shape))
+        with no_grad():
+            plain = model(x).data
+        recorded = model(x)
+        assert recorded.requires_grad
+        assert plain.tobytes() == recorded.data.tobytes()

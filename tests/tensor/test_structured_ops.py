@@ -1,9 +1,12 @@
 """Convolution, pooling, batch norm, softmax/loss: references and gradients."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy import signal
 
+from repro.engine import run_kernel
 from repro.tensor import (
     Tensor,
     batch_norm,
@@ -16,6 +19,7 @@ from repro.tensor import (
     log_softmax,
     max_pool2d,
     nll_loss,
+    no_grad,
     softmax,
 )
 
@@ -53,6 +57,52 @@ def reference_conv_grads(x, w, upstream, stride, padding):
     grad_padded = col2im(grad_cols, padded.shape, k, k, stride, out_h, out_w)
     grad_x = grad_padded[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
     return grad_x, grad_w, upstream.sum(axis=(0, 2, 3))
+
+
+def reference_max_pool(x, kernel, stride):
+    """Max pool as a window copy, ``argmax`` and ``take_along_axis``."""
+    n, c, h, w = x.shape
+    out_h, out_w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    windows = np.stack(
+        [
+            x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+            for i in range(kernel)
+            for j in range(kernel)
+        ],
+        axis=-1,
+    )
+    argmax = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0], argmax
+
+
+def reference_batch_norm(x, gamma, beta, running_mean, running_var, training,
+                         momentum=0.1, eps=1e-5):
+    """Batch norm from ``x.var`` and fresh temporaries; returns new running stats."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    count = x.size // x.shape[1]
+    running_mean, running_var = running_mean.copy(), running_var.copy()
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        unbiased = var * count / (count - 1) if count > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(np.maximum(var, 0.0) + eps)
+    x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    return gamma.reshape(shape) * x_hat + beta.reshape(shape), running_mean, running_var
+
+
+def post_relu(rng, shape):
+    """Activations as ReLU leaves them: about half ``-0.0``, some ``0.0``."""
+    x = rng.normal(size=shape)
+    x = x * (x > 0)
+    x[..., ::3, :] = 0.0
+    return x
 
 
 class TestConv2d:
@@ -146,6 +196,39 @@ class TestMaxPool:
         max_pool2d(x, 2).sum().backward()
         np.testing.assert_allclose(x.grad, [[[[0, 0], [0, 1.0]]]])
 
+    @pytest.mark.parametrize("kernel,stride,size", [(2, 2, 4), (3, 1, 5)])
+    def test_tied_zero_windows_route_grad_to_first_position(self, kernel, stride, size):
+        x = Tensor(np.zeros((1, 2, size, size)), requires_grad=True)
+        out = max_pool2d(x, kernel, stride=stride)
+        out.sum().backward()
+        out_h = out.shape[-1]
+        expected = np.zeros(x.shape)
+        expected[:, :, : stride * out_h : stride, : stride * out_h : stride] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1)])
+    def test_repeated_max_routes_grad_to_first_occurrence(self, kernel, stride):
+        window = np.zeros((kernel, kernel))
+        window[0, kernel - 1] = window[kernel - 1, 0] = window[-1, -1] = 5.0
+        x = Tensor(window.reshape(1, 1, kernel, kernel), requires_grad=True)
+        max_pool2d(x, kernel, stride=stride).sum().backward()
+        expected = np.zeros((kernel, kernel))
+        expected[0, kernel - 1] = 1.0
+        np.testing.assert_array_equal(x.grad[0, 0], expected)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2)])
+    def test_kernel_matches_window_argmax_bitwise(self, rng, kernel, stride):
+        """Values keep the first of tied maxima, signed zeros included."""
+        x = post_relu(rng, (3, 4, 11, 11))
+        ref_value, ref_argmax = reference_max_pool(x, kernel, stride)
+        attrs = {"kernel": kernel, "stride": stride, "out_shape": ref_value.shape}
+        value, saved = run_kernel("max_pool2d", {**attrs, "requires_grad": True}, (x,))
+        np.testing.assert_array_equal(saved["argmax"], ref_argmax)
+        assert value.tobytes() == ref_value.tobytes()
+        value, saved = run_kernel("max_pool2d", {**attrs, "requires_grad": False}, (x,))
+        assert saved["argmax"] is None
+        assert value.tobytes() == ref_value.tobytes()
+
 
 class TestBatchNorm:
     def _bn_args(self, channels):
@@ -219,6 +302,24 @@ class TestBatchNorm:
         gamma, beta, mean, var = self._bn_args(3)
         with pytest.raises(ValueError):
             batch_norm(x, gamma, beta, mean, var, training=True)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 3, 3)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_bitwise_equal_to_reference(self, rng, shape, training, grad):
+        x = rng.normal(loc=1.5, scale=2.0, size=shape)
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        running_mean, running_var = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        expected, ref_mean, ref_var = reference_batch_norm(
+            x, gamma, beta, running_mean, running_var, training
+        )
+        args = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with nullcontext() if grad else no_grad():
+            out = batch_norm(*args, running_mean, running_var, training=training)
+        assert out.requires_grad is grad
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(running_mean, ref_mean)
+        assert np.array_equal(running_var, ref_var)
 
     def test_zero_gamma_silences_channel(self, rng):
         """The structured-pruning mechanism: gamma=beta=0 => channel output 0."""
