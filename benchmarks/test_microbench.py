@@ -4,6 +4,12 @@ These quantify the per-round cost drivers of the federation simulator:
 convolution forward/backward, one client SGD step, the evaluation forward
 (``no_grad``, no pool argmax), mask derivation and the Sub-FedAvg
 intersection average.
+
+Run them at one BLAS thread, as perfbench and CI do; with the default
+thread pool a small machine measures oversubscription, not the kernels::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python -m pytest -q benchmarks/test_microbench.py
 """
 
 import numpy as np

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .dataset import ArrayDataset
 from .registry import SpecView, get_dataset, register_dataset
@@ -62,11 +61,36 @@ def class_templates(spec: DatasetSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     channels, height, width = spec.shape
     templates = rng.normal(size=(spec.num_classes, channels, height, width))
-    for k in range(spec.num_classes):
-        for c in range(channels):
-            templates[k, c] = ndimage.gaussian_filter(templates[k, c], sigma=3.0)
+    templates = _gaussian_blur(templates, sigma=3.0)
     rms = np.sqrt((templates ** 2).mean(axis=(1, 2, 3), keepdims=True))
     return templates / rms
+
+
+def _gaussian_blur(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-blur the last two axes of ``fields``.
+
+    Bit-identical to ``scipy.ndimage.gaussian_filter(field, sigma)`` on each
+    2-D field: the same truncated kernel (radius ``int(4 * sigma + 0.5)``),
+    ``reflect`` boundaries (numpy's ``symmetric`` pad), axis -2 before axis
+    -1, and the floating-point operation order of ndimage's symmetric-kernel
+    correlation, ``x[0] * w[0]`` plus ``(x[-j] + x[+j]) * w[j]`` for
+    ``j = r, ..., 1``.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    weights = weights / weights.sum()
+    for axis in (-2, -1):
+        pad = [(0, 0)] * fields.ndim
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(fields, pad, mode="symmetric"), axis, 0)
+        size = fields.shape[axis]
+        out = padded[radius : radius + size] * weights[radius]
+        for j in range(radius, 0, -1):
+            out += (padded[radius - j : radius - j + size]
+                    + padded[radius + j : radius + j + size]) * weights[radius + j]
+        fields = np.moveaxis(out, 0, axis)
+    return fields
 
 
 def _shift2d(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -127,8 +151,10 @@ def generate_split(
             if other != label:
                 images[i] += spec.distractor * templates[other]
     # Standardize globally, as the torchvision pipelines do per-dataset.
-    images = (images - images.mean()) / (images.std() + 1e-8)
-    return ArrayDataset(images.astype(np.float64), labels)
+    std = images.std()
+    images -= images.mean()
+    images /= std + 1e-8
+    return ArrayDataset(images, labels)
 
 
 def _synthetic_loader(

@@ -1,10 +1,34 @@
 """Synthetic dataset generators: shapes, determinism, learnability."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import SPECS, class_templates, generate_split, load_dataset
 from repro.data.synthetic import DatasetSpec
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: sha256 over images then labels of ``load_dataset(name, 300, 120, seed=7)``
+#: (train split, then test split).  Every perfbench accuracy pin and every
+#: recorded history rests on these bytes, so a change here is a change of data.
+DATASET_DIGESTS = {
+    "mnist": "a61c6f1572c95f586e2b2720039a117bb65ea869dd61a53ecee11fcc3de48ccb",
+    "emnist": "b4b8684d5f0e6ffd8b0cfb429000207a25ba1ceaf6072c355fdbb5d40bec5ebd",
+    "cifar10": "71a6b303701215b90b28c9433809dce80db25e3b33b072786a714c547cf670c0",
+    "cifar100": "b700852a1b9ef91f07e4c44bc55cd47903727a8009402f0574af453ccd85c242",
+}
+
+#: Shapes registered outside the builtin families: the load test's micro
+#: dataset, ``examples/custom_scenario.py``, and the test suite's own specs,
+#: down to a single pixel, where the reflect pad wraps more than once.
+ODD_SHAPES = [(1, 8, 8), (1, 12, 12), (2, 7, 9), (1, 6, 6), (1, 5, 5), (1, 4, 4), (1, 1, 1)]
 
 
 class TestSpecs:
@@ -55,6 +79,60 @@ class TestTemplates:
         cosine = gram / norm
         off_diagonal = cosine[~np.eye(len(cosine), dtype=bool)]
         assert np.abs(off_diagonal).max() < 0.9
+
+
+def _scipy_templates(spec, seed):
+    """``class_templates`` as written on ``scipy.ndimage.gaussian_filter``."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(seed)
+    templates = rng.normal(size=(spec.num_classes,) + spec.shape)
+    for k in range(spec.num_classes):
+        for c in range(spec.shape[0]):
+            templates[k, c] = ndimage.gaussian_filter(templates[k, c], sigma=3.0)
+    rms = np.sqrt((templates ** 2).mean(axis=(1, 2, 3), keepdims=True))
+    return templates / rms
+
+
+class TestBlurMatchesScipy:
+    """The numpy blur reproduces ``ndimage.gaussian_filter`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("name", ["mnist", "emnist", "cifar10", "cifar100"])
+    def test_builtin_specs(self, name, seed):
+        spec = SPECS[name]
+        assert np.array_equal(class_templates(spec, seed), _scipy_templates(spec, seed))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("shape", ODD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_odd_shapes(self, shape, seed):
+        spec = DatasetSpec("odd", shape, 3, signal=1.0, noise=1.0, max_shift=0)
+        assert np.array_equal(class_templates(spec, seed), _scipy_templates(spec, seed))
+
+
+class TestDatasetDigest:
+    @pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+    def test_bytes_pinned(self, name):
+        digest = hashlib.sha256()
+        for dataset in load_dataset(name, 300, 120, seed=7):
+            assert dataset.images.dtype == np.float64
+            assert dataset.images.flags.c_contiguous
+            digest.update(dataset.images.tobytes())
+            digest.update(dataset.labels.tobytes())
+        assert digest.hexdigest() == DATASET_DIGESTS[name]
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test oracle only: importing the package never loads it."""
+    code = (
+        "import repro, repro.cli, repro.serving, sys; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestGeneration:
