@@ -9,8 +9,7 @@ Usage::
     python -m repro run    --partition dirichlet --set data.dirichlet_alpha=0.1
     python -m repro run    --sampler availability --set scenario.dropout=0.2
     python -m repro run    --round-policy async-buffer --set systems.jitter=0.1
-    python -m repro run    --set scenario.fleet=hierarchical --set scenario.regions=16 \\
-                           --set scenario.region_uplink_bytes_per_second=5e6
+    python -m repro run    --set scenario.fleet=uniform --set scenario.profiles='["raspberry-pi"]'
     python -m repro sweep  --grid smoke --jobs 2 --out sweep-results
     python -m repro sweep  --grid ablate-partition --dataset mnist
     python -m repro sweep  --grid table1 --dataset mnist --resume --export-json sweep.json
@@ -198,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override any config field, including the nested data.*, "
         "scenario.* and systems.* sections "
         "(e.g. --set data.dirichlet_alpha=0.1 --set scenario.dropout=0.2 "
-        "--set scenario.fleet=hierarchical --set scenario.regions=16 "
+        "--set scenario.fleet=uniform "
         "--set systems.round_policy=async-buffer --set systems.jitter=0.1 "
         "--set rounds=10); values are parsed as JSON, falling back to "
         "strings",
@@ -372,7 +371,7 @@ def _cmd_list(args) -> int:
         print(f"  {spec.name:18s} {spec.summary}")
     print("fleets:")
     for spec in fleet_specs():
-        print(f"  {spec.name:18s} [{spec.tiers}] {spec.summary}")
+        print(f"  {spec.name:18s} {spec.summary}")
     print("round-policies:")
     for spec in round_policy_specs():
         print(f"  {spec.name:18s} {spec.summary}")

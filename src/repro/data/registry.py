@@ -37,6 +37,8 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
 
+from .._doc import first_doc_line
+
 
 # ----------------------------------------------------------------------
 # Dataset registry
@@ -69,7 +71,7 @@ def register_dataset(spec, *, summary: str = "") -> Callable:
         name = spec.name
         if name in _DATASETS:
             raise ValueError(f"dataset {name!r} is already registered")
-        doc = summary or _first_doc_line(loader)
+        doc = summary or first_doc_line(loader)
         _DATASETS[name] = DatasetEntry(
             name=name, spec=spec, loader=loader, summary=doc
         )
@@ -180,7 +182,7 @@ def register_partitioner(
     def decorator(fn: Callable) -> Callable:
         if name in _PARTITIONERS:
             raise ValueError(f"partitioner {name!r} is already registered")
-        doc = summary or _first_doc_line(fn)
+        doc = summary or first_doc_line(fn)
         _PARTITIONERS[name] = PartitionerSpec(
             name=name, fn=fn, params=dict(params), summary=doc
         )
@@ -216,8 +218,3 @@ def unregister_partitioner(name: str) -> PartitionerSpec:
         return _PARTITIONERS.pop(name)
     except KeyError:
         raise KeyError(f"partitioner {name!r} is not registered") from None
-
-
-def _first_doc_line(fn: Callable) -> str:
-    doc = (fn.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""

@@ -69,18 +69,11 @@ from .builder import (
 )
 from .federation import Federation
 from .client import FederatedClient, LocalTrainConfig, LocalTrainResult
-from .pool import (
-    STATE_STORES,
-    ClientPool,
-    FileStateStore,
-    MemoryStateStore,
-    make_state_store,
-)
+from .pool import ClientPool
 from .metrics import History, RoundRecord
 from .sampler import (
     AvailabilitySampler,
     ClientSampler,
-    DiurnalSampler,
     FixedSampler,
 )
 from .scenario import (
@@ -198,14 +191,9 @@ __all__ = [
     "LocalTrainConfig",
     "LocalTrainResult",
     "ClientPool",
-    "MemoryStateStore",
-    "FileStateStore",
-    "STATE_STORES",
-    "make_state_store",
     "ClientSampler",
     "FixedSampler",
     "AvailabilitySampler",
-    "DiurnalSampler",
     "SamplerSpec",
     "ScenarioConfig",
     "DataConfig",

@@ -51,7 +51,7 @@ from .accounting.flops import dense_conv_flops
 from .client import FederatedClient, LocalTrainConfig
 from .compression import CompressionConfig
 from .execution import BACKENDS
-from .pool import STATE_STORES, ClientPool, make_state_store
+from .pool import ClientPool
 from .scenario import ScenarioConfig, build_sampler, get_sampler
 from . import trainers as _trainers  # noqa: F401  (populates the registry)
 from .registry import available_algorithms, get_trainer
@@ -69,9 +69,9 @@ _SECTION_TYPES = {
 }
 
 #: ``scenario`` fields the PR-4 schema carried.  Newer fields (the fleet
-#: shape, diurnal availability) join the canonical hash payload only when
-#: they leave their defaults, so every PR-4-expressible scenario keeps its
-#: historical ``stable_hash``.
+#: shape and its per-client profiles) join the canonical hash payload only
+#: when they leave their defaults, so every PR-4-expressible scenario keeps
+#: its historical ``stable_hash``.
 _PR4_SCENARIO_FIELDS = (
     "sampler",
     "participation",
@@ -102,6 +102,57 @@ _POST_LEGACY_DATA_FIELDS = tuple(
 )
 
 
+_DIURNAL_REMOVED = "the diurnal sampler was removed"
+_HIERARCHICAL_REMOVED = "the hierarchical fleet was removed"
+
+#: Fields deleted with the diurnal sampler, the hierarchical fleet and the
+#: file state store: ``(section, name)`` (``None`` = top level) maps to the
+#: default a stored payload may still carry and the removal to name.
+_REMOVED_FIELDS = {
+    ("scenario", "diurnal_amplitude"): (0.8, _DIURNAL_REMOVED),
+    ("scenario", "diurnal_period_seconds"): (86400.0, _DIURNAL_REMOVED),
+    ("scenario", "diurnal_round_seconds"): (600.0, _DIURNAL_REMOVED),
+    ("scenario", "regions"): (0, _HIERARCHICAL_REMOVED),
+    ("scenario", "region_uplink_bytes_per_second"): (0.0, _HIERARCHICAL_REMOVED),
+    (None, "state_store"): (
+        "memory",
+        "the file state store was removed and evicted clients always spill "
+        "to memory",
+    ),
+}
+
+#: Registry entries deleted with them: ``(scenario field, value)`` → removal.
+_REMOVED_CHOICES = {
+    ("sampler", "diurnal"): _DIURNAL_REMOVED,
+    ("fleet", "hierarchical"): _HIERARCHICAL_REMOVED,
+}
+
+
+def _drop_removed_fields(data: Dict[str, Any]) -> None:
+    """Drop removed fields that sit at their defaults; raise on any other."""
+    scenario = data.get("scenario")
+    if isinstance(scenario, Mapping):
+        data["scenario"] = dict(scenario)
+        for name in ("sampler", "fleet"):
+            removal = _REMOVED_CHOICES.get((name, scenario.get(name)))
+            if removal:
+                raise ValueError(
+                    f"scenario.{name}={scenario[name]!r} is no longer "
+                    f"available: {removal}; choose another {name}"
+                )
+    for (section, name), (default, removal) in _REMOVED_FIELDS.items():
+        target = data if section is None else data.get(section)
+        if not isinstance(target, dict) or name not in target:
+            continue
+        value = target.pop(name)
+        if value != default:
+            key = name if section is None else f"{section}.{name}"
+            raise ValueError(
+                f"{key}={value!r} is no longer available: {removal}; "
+                "delete the field"
+            )
+
+
 def _jsonify(value: Any) -> Any:
     """Normalize to what a JSON round-trip would produce (tuples → lists)."""
     if isinstance(value, tuple):
@@ -130,7 +181,6 @@ class FederationConfig:
     backend: str = "serial"  # client-execution backend: serial/thread/process
     workers: int = 0  # worker count for parallel backends (0 = cpu count)
     client_cache: int = 64  # max live FederatedClient replicas (0 = unbounded)
-    state_store: str = "memory"  # evicted-client state: "memory" | "file"
     data: DataConfig = field(default_factory=DataConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     systems: SystemsConfig | None = None  # fleet simulation (None = disabled)
@@ -163,11 +213,6 @@ class FederationConfig:
             raise ValueError(
                 f"client_cache must be >= 0, got {self.client_cache}"
             )
-        if self.state_store not in STATE_STORES:
-            raise ValueError(
-                f"unknown state store {self.state_store!r}; "
-                f"choose from {STATE_STORES}"
-            )
         get_trainer(self.algorithm)  # raises KeyError for unknown algorithms
 
     # ------------------------------------------------------------------
@@ -193,7 +238,11 @@ class FederationConfig:
         ``compute`` section existed carry ``{"engine": "eager", ...}``; that
         section is dropped (eager is the only engine), and any other engine
         raises ``ValueError``.  A ``systems.pricing`` key (``"vector"`` or
-        ``"scalar"``, which priced bit-identically) is dropped too.
+        ``"scalar"``, which priced bit-identically) is dropped too.  The
+        fields of the removed diurnal sampler, hierarchical fleet and file
+        state store are dropped at their defaults; any other value, and
+        ``scenario.sampler="diurnal"`` or ``scenario.fleet="hierarchical"``,
+        raises ``ValueError``.
         """
         data = dict(payload)
         compute = dict(data.pop("compute", None) or {})
@@ -213,6 +262,7 @@ class FederationConfig:
                     "the data section; keep only the data section"
                 )
             data["data"] = {**nested, **flat}
+        _drop_removed_fields(data)
         unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise KeyError(f"unknown FederationConfig fields: {sorted(unknown)}")
@@ -262,11 +312,10 @@ class FederationConfig:
             "structured": None if self.structured is None else asdict(self.structured),
         }
         # The virtual-client pool changes resource usage, never results:
-        # its knobs join the hash only when they leave their defaults, so
+        # its cache size joins the hash only when it leaves its default, so
         # every pre-pool config keeps its stable_hash.
-        for name, default in (("client_cache", 64), ("state_store", "memory")):
-            if getattr(self, name) != default:
-                payload[name] = getattr(self, name)
+        if self.client_cache != 64:
+            payload["client_cache"] = self.client_cache
         defaults = DataConfig()
         data_extra = {
             name: getattr(self.data, name)
@@ -277,7 +326,7 @@ class FederationConfig:
             payload["data"] = data_extra
         if self.scenario != ScenarioConfig():
             # Same only-when-non-default rule one schema generation later:
-            # post-PR-4 scenario fields (fleet shape, diurnal knobs) join
+            # post-PR-4 scenario fields (fleet shape, client profiles) join
             # the payload only when set, so PR-4-expressible scenarios
             # keep their historical hash.
             scenario_defaults = ScenarioConfig()
@@ -343,7 +392,6 @@ def make_clients(config: FederationConfig) -> ClientPool:
         local,
         seed=config.seed,
         capacity=config.client_cache,
-        store=make_state_store(config.state_store),
     )
 
 
@@ -416,8 +464,7 @@ def build_trainer(
     The trainer class and the config sections it consumes come from the
     registry; the participation model comes from the scenario registry;
     a ``systems`` section additionally attaches a
-    :class:`~repro.systems.rounds.FleetSimulator` (sharing its clock with
-    time-aware samplers such as ``diurnal``); ``overrides`` are extra
+    :class:`~repro.systems.rounds.FleetSimulator`; ``overrides`` are extra
     keyword arguments forwarded verbatim to the trainer constructor
     (e.g. ``aggregator=`` for ablations or ``track_trajectory=`` for
     Figure 1).
@@ -444,8 +491,6 @@ def build_trainer(
                 "family trainer"
             )
         fleet_sim = build_fleet_simulator(config, len(clients))
-        if hasattr(sampler, "attach_clock"):
-            sampler.attach_clock(fleet_sim.clock)
     kwargs: Dict[str, Any] = dict(
         clients=clients,
         model_fn=model_factory(config),

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._doc import first_doc_line
 from ..pruning.unstructured import _rank_threshold
 from .accounting.communication import FLOAT_BITS, MASK_BITS
 from .execution import ClientUpdate
@@ -354,7 +355,7 @@ def register_compressor(name: str, *, summary: str = "") -> Callable:
     def decorator(factory: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"compressor {name!r} is already registered")
-        doc = summary or (factory.__doc__ or "").strip().split("\n", 1)[0]
+        doc = summary or first_doc_line(factory)
         _REGISTRY[name] = CompressorSpec(name=name, factory=factory, summary=doc)
         return factory
 

@@ -11,7 +11,7 @@ trainers iterate: indexing materializes the client on demand and keeps up
 to ``capacity`` of them live in LRU order.  Evicting a client whose state
 has diverged from its freshly-built form (it trained, pruned, or was
 restored before) spills a :meth:`~.client.FederatedClient.snapshot_state`
-into a state store, and the next materialization restores it — so
+into an in-memory dict, and the next materialization restores it — so
 stateful algorithms (Sub-FedAvg masks, momentum-free SGD state, data
 order) survive eviction bit-for-bit.
 
@@ -21,110 +21,21 @@ rewinds it, so "RNG state still equals the just-built baseline" is an
 exact proxy for "nothing to spill".  Side-effect-free evaluation
 (snapshot → eval → restore) therefore evicts for free.
 
-Two stores ship:
-
-* :class:`MemoryStateStore` — a dict.  The process backend forks workers,
-  so a worker inherits the parent's store copy-on-write and its own
-  mutations stay private (the parent re-applies the returned
-  ``ClientSync`` in task order, exactly as with eager clients).
-* :class:`FileStateStore` — one pickle per client under sharded
-  directories, for populations whose *spilled* state would not fit in
-  memory either.
+The process backend forks workers, so a worker inherits the parent's
+spilled snapshots copy-on-write and its own mutations stay private (the
+parent re-applies the returned ``ClientSync`` in task order, exactly as
+with eager clients).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import shutil
-import tempfile
 from collections import OrderedDict
 from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Sequence, Set
 
 from ..data.partition import ClientData
 from .client import FederatedClient, LocalTrainConfig
-
-
-class MemoryStateStore:
-    """Spilled client snapshots kept in a plain dict (the default)."""
-
-    def __init__(self) -> None:
-        self._snapshots: Dict[int, Dict[str, object]] = {}
-
-    def save(self, client_id: int, snapshot: Dict[str, object]) -> None:
-        self._snapshots[client_id] = snapshot
-
-    def load(self, client_id: int) -> Optional[Dict[str, object]]:
-        return self._snapshots.get(client_id)
-
-    def __contains__(self, client_id: int) -> bool:
-        return client_id in self._snapshots
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-
-class FileStateStore:
-    """One pickle per spilled client, sharded 1024 clients per directory.
-
-    For fleets where even the spilled snapshots outgrow memory.  The
-    directory defaults to a fresh temp dir owned (and deleted) by this
-    store.
-    """
-
-    SHARD = 1024
-
-    def __init__(self, root: Optional[str] = None) -> None:
-        self._owns_root = root is None
-        self.root = root or tempfile.mkdtemp(prefix="repro-client-state-")
-        os.makedirs(self.root, exist_ok=True)
-        self._known: Set[int] = set()
-
-    def _path(self, client_id: int) -> str:
-        shard = os.path.join(self.root, f"shard-{client_id // self.SHARD:05d}")
-        os.makedirs(shard, exist_ok=True)
-        return os.path.join(shard, f"client-{client_id}.pkl")
-
-    def save(self, client_id: int, snapshot: Dict[str, object]) -> None:
-        with open(self._path(client_id), "wb") as handle:
-            pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._known.add(client_id)
-
-    def load(self, client_id: int) -> Optional[Dict[str, object]]:
-        if client_id not in self._known:
-            return None
-        with open(self._path(client_id), "rb") as handle:
-            return pickle.load(handle)
-
-    def __contains__(self, client_id: int) -> bool:
-        return client_id in self._known
-
-    def __len__(self) -> int:
-        return len(self._known)
-
-    def close(self) -> None:
-        if self._owns_root:
-            shutil.rmtree(self.root, ignore_errors=True)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        self.close()
-
-
-#: Store kinds selectable from ``FederationConfig.state_store``.
-STATE_STORES = ("memory", "file")
-
-
-def make_state_store(kind: str):
-    """Build the spill store named by ``FederationConfig.state_store``."""
-    if kind == "memory":
-        return MemoryStateStore()
-    if kind == "file":
-        return FileStateStore()
-    raise ValueError(
-        f"unknown state store {kind!r}; choose from {STATE_STORES}"
-    )
 
 
 class ClientPool(SequenceABC):
@@ -144,7 +55,6 @@ class ClientPool(SequenceABC):
         local: LocalTrainConfig,
         seed: int = 0,
         capacity: int = 64,
-        store=None,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
@@ -153,7 +63,7 @@ class ClientPool(SequenceABC):
         self._local = local
         self._seed = seed
         self.capacity = capacity
-        self.store = store if store is not None else MemoryStateStore()
+        self._spilled: Dict[int, Dict[str, object]] = {}
         self._live: "OrderedDict[int, FederatedClient]" = OrderedDict()
         self._baselines: Dict[int, object] = {}
         self._dirty: Set[int] = set()
@@ -209,7 +119,7 @@ class ClientPool(SequenceABC):
     def _materialize(self, index: int) -> FederatedClient:
         client = self.build(index)
         client_id = int(client.client_id)
-        snapshot = self.store.load(client_id)
+        snapshot = self._spilled.get(client_id)
         if snapshot is not None:
             client.restore_state(snapshot)
             self._dirty.add(index)
@@ -233,11 +143,11 @@ class ClientPool(SequenceABC):
         baseline = self._baselines.pop(index, None)
         # A client whose RNG stream never moved past its materialization
         # baseline did no mutating work — nothing to spill.  A client that
-        # was restored from the store, or marked dirty, stays dirty (the
-        # store must keep its state for the next materialization).
+        # was restored from a spill, or marked dirty, stays dirty (its
+        # spilled state must be refreshed for the next materialization).
         dirty = index in self._dirty or client.rng_state() != baseline
         if dirty:
-            self.store.save(int(client.client_id), client.snapshot_state())
+            self._spilled[int(client.client_id)] = client.snapshot_state()
             self.spills += 1
         self._dirty.discard(index)
         self.evictions += 1
@@ -278,5 +188,5 @@ class ClientPool(SequenceABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ClientPool(n={len(self)}, live={self.live_count}, "
-            f"capacity={self.capacity}, spilled={len(self.store)})"
+            f"capacity={self.capacity}, spilled={len(self._spilled)})"
         )

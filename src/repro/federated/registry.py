@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple, Type
 
+from .._doc import first_doc_line
+
 #: FederationConfig attributes a trainer may declare in ``config_sections``.
 KNOWN_CONFIG_SECTIONS = ("unstructured", "structured", "compression")
 
@@ -70,7 +72,7 @@ def register_trainer(
                 f"trainer {name!r} is already registered "
                 f"(by {_REGISTRY[name].cls.__name__})"
             )
-        doc = summary or _first_doc_line(cls)
+        doc = summary or first_doc_line(cls)
         cls.algorithm_name = name
         _REGISTRY[name] = TrainerSpec(
             name=name,
@@ -110,8 +112,3 @@ def unregister_trainer(name: str) -> TrainerSpec:
         return _REGISTRY.pop(name)
     except KeyError:
         raise KeyError(f"trainer {name!r} is not registered") from None
-
-
-def _first_doc_line(cls: Type) -> str:
-    doc = (cls.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""

@@ -1,6 +1,6 @@
 """Client sampling per communication round.
 
-Four participation models ship here; they (and any third-party model) are
+Three participation models ship here; they (and any third-party model) are
 registered in :mod:`~repro.federated.scenario` and selected per run with
 ``FederationConfig(scenario=ScenarioConfig(sampler=...))``:
 
@@ -11,16 +11,11 @@ registered in :mod:`~repro.federated.scenario` and selected per run with
   :class:`~repro.systems.fleet.Fleet`'s device assignment — the *same*
   assignment the wall-clock model and fleet simulator price with, so a
   slow device class can both straggle and show up rarely) plus i.i.d.
-  per-round dropout,
-* :class:`DiurnalSampler` — temporal availability: participation follows
-  a seeded day/night cycle read off simulated time (a
-  :class:`~repro.systems.clock.SimClock` when the run carries a fleet
-  simulator, a fixed per-round advance otherwise).
+  per-round dropout.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -193,84 +188,3 @@ class AvailabilitySampler(ClientSampler):
             participants = invited[[int(keep)]]
         return sorted(int(index) for index in participants)
 
-
-class DiurnalSampler(ClientSampler):
-    """Temporal availability: participation follows a day/night cycle.
-
-    Each client sits in a seeded "time zone" (a phase drawn uniformly in
-    ``[0, 2π)``), and its availability at simulated time ``t`` is::
-
-        participation × ((1 − amplitude) + amplitude × day(t, phase))
-
-    with ``day`` the raised cosine ``0.5 × (1 + sin(2πt/period + phase))``
-    — 1.0 at local daytime peak, 0.0 at local night.  ``amplitude=0``
-    collapses to the flat availability model; ``amplitude=1`` makes
-    clients fully unavailable at local midnight.
-
-    Time comes from an attached :class:`~repro.systems.clock.SimClock`
-    (the builder attaches the fleet simulator's clock when the run has a
-    ``systems`` section, so *slower round policies literally see fewer
-    day/night cycles per round*); without one the sampler advances its
-    own time by ``round_seconds`` per sample, a fixed estimate.
-    """
-
-    def __init__(
-        self,
-        num_clients: int,
-        sample_fraction: float = 0.1,
-        seed: Optional[int] = None,
-        participation: float = 1.0,
-        amplitude: float = 0.8,
-        period_seconds: float = 86400.0,
-        round_seconds: float = 600.0,
-        clock=None,
-    ) -> None:
-        super().__init__(num_clients, sample_fraction, seed=seed)
-        if not 0.0 < participation <= 1.0:
-            raise ValueError(f"participation must be in (0, 1], got {participation}")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError(f"amplitude must be in [0, 1], got {amplitude}")
-        if period_seconds <= 0 or round_seconds <= 0:
-            raise ValueError("period_seconds and round_seconds must be positive")
-        self.participation = participation
-        self.amplitude = amplitude
-        self.period_seconds = period_seconds
-        self.round_seconds = round_seconds
-        self._clock = clock
-        self._rounds_sampled = 0
-        self.phases = self._rng.uniform(0.0, 2.0 * math.pi, size=num_clients)
-
-    def attach_clock(self, clock) -> None:
-        """Drive availability off a shared simulation clock from now on."""
-        self._clock = clock
-
-    @property
-    def now(self) -> float:
-        """The simulated time the *next* sample will be drawn at."""
-        if self._clock is not None:
-            return float(self._clock.now)
-        return self._rounds_sampled * self.round_seconds
-
-    def availability(self, t: Optional[float] = None) -> np.ndarray:
-        """Per-client participation probabilities at simulated time ``t``."""
-        t = self.now if t is None else t
-        day = 0.5 * (
-            1.0 + np.sin(2.0 * math.pi * t / self.period_seconds + self.phases)
-        )
-        probs = self.participation * ((1.0 - self.amplitude) + self.amplitude * day)
-        return np.clip(probs, 1e-9, 1.0)
-
-    def sample(self) -> List[int]:
-        """This round's participants: invited ∩ awake at the current time."""
-        probs = self.availability()
-        self._rounds_sampled += 1
-        invited = self._rng.choice(
-            self.num_clients, size=self.clients_per_round, replace=False
-        )
-        draws = self._rng.random(size=invited.size)
-        participants = invited[draws < probs[invited]]
-        if participants.size == 0:
-            # Never return an empty round; the seeded pick keeps determinism.
-            keep = self._rng.integers(invited.size)
-            participants = invited[[int(keep)]]
-        return sorted(int(index) for index in participants)

@@ -13,11 +13,9 @@ builder or trainers:
 ...     ...  # return a ClientSampler-compatible object
 
 Shipped models: ``uniform`` (the paper's protocol), ``fixed`` (a pinned
-subset), ``availability`` (per-client participation probabilities plus
-i.i.d. dropout — see
-:class:`~repro.federated.sampler.AvailabilitySampler`) and ``diurnal``
-(day/night participation cycles driven by simulated time — see
-:class:`~repro.federated.sampler.DiurnalSampler`).
+subset) and ``availability`` (per-client participation probabilities
+plus i.i.d. dropout — see
+:class:`~repro.federated.sampler.AvailabilitySampler`).
 
 The scenario also names the run's *fleet* — which hardware each client
 is, resolved through the :func:`~repro.systems.fleet.register_fleet`
@@ -33,12 +31,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+from .._doc import first_doc_line
 from ..systems.fleet import Fleet, build_fleet, get_fleet
-from .registry import _first_doc_line
 from .sampler import (
     AvailabilitySampler,
     ClientSampler,
-    DiurnalSampler,
     FixedSampler,
 )
 
@@ -57,18 +54,14 @@ class ScenarioConfig:
     ``participation_probs`` (one probability per client), or the fleet's
     device assignment with ``profile_participation`` mapping each device
     class name to a probability.  ``fixed_clients`` pins the ``fixed``
-    model's subset.  The ``diurnal`` model reads ``participation``,
-    ``diurnal_amplitude``, ``diurnal_period_seconds`` and
-    ``diurnal_round_seconds``.  Third-party samplers read whichever
-    fields they need.
+    model's subset.  Third-party samplers read whichever fields they
+    need.
 
     ``fleet`` selects the client→device assignment shape from the
     :func:`~repro.systems.fleet.register_fleet` registry: ``tiers`` (the
     default — ``profiles`` assigned round-robin, the historical rule),
-    ``uniform``, ``profile-list`` (explicit per-client
-    ``client_profiles``), or ``hierarchical`` (two-tier: clients upload
-    through ``regions`` edge cells sharing
-    ``region_uplink_bytes_per_second`` of backhaul each).
+    ``uniform`` or ``profile-list`` (explicit per-client
+    ``client_profiles``).
     """
 
     sampler: str = "uniform"
@@ -81,11 +74,6 @@ class ScenarioConfig:
     profile_participation: Tuple[Tuple[str, float], ...] = ()
     fleet: str = "tiers"
     client_profiles: Tuple[str, ...] = ()
-    diurnal_amplitude: float = 0.8
-    diurnal_period_seconds: float = 86400.0
-    diurnal_round_seconds: float = 600.0
-    regions: int = 0  # hierarchical fleet: number of edge cells (0 = unset)
-    region_uplink_bytes_per_second: float = 0.0  # shared backhaul per cell
 
     def __post_init__(self) -> None:
         # JSON deserialization hands us lists; normalize to the hashable form.
@@ -121,21 +109,6 @@ class ScenarioConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.diurnal_amplitude <= 1.0:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1], got {self.diurnal_amplitude}"
-            )
-        if self.diurnal_period_seconds <= 0 or self.diurnal_round_seconds <= 0:
-            raise ValueError(
-                "diurnal_period_seconds and diurnal_round_seconds must be positive"
-            )
-        if self.regions < 0:
-            raise ValueError(f"regions must be >= 0, got {self.regions}")
-        if self.region_uplink_bytes_per_second < 0:
-            raise ValueError(
-                "region_uplink_bytes_per_second must be >= 0, got "
-                f"{self.region_uplink_bytes_per_second}"
-            )
         get_fleet(self.fleet)  # raises KeyError for unknown fleet shapes
 
     def build_fleet(self, num_clients: int) -> Fleet:
@@ -166,7 +139,7 @@ def register_sampler(name: str, *, summary: str = "") -> Callable:
     def decorator(factory: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"sampler {name!r} is already registered")
-        doc = summary or _first_doc_line(factory)
+        doc = summary or first_doc_line(factory)
         _REGISTRY[name] = SamplerSpec(name=name, factory=factory, summary=doc)
         return factory
 
@@ -253,20 +226,3 @@ def _availability_sampler(
         profile_participation=dict(scenario.profile_participation) or None,
     )
 
-
-@register_sampler(
-    "diurnal",
-    summary="day/night participation cycles driven by simulated time",
-)
-def _diurnal_sampler(
-    num_clients: int, sample_fraction: float, seed: int, scenario: ScenarioConfig
-) -> DiurnalSampler:
-    return DiurnalSampler(
-        num_clients,
-        sample_fraction,
-        seed=seed,
-        participation=scenario.participation,
-        amplitude=scenario.diurnal_amplitude,
-        period_seconds=scenario.diurnal_period_seconds,
-        round_seconds=scenario.diurnal_round_seconds,
-    )

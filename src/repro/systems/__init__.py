@@ -10,7 +10,7 @@ into a first-class, *simulated-time* axis for every experiment:
   timeline bit-for-bit;
 * :mod:`~repro.systems.fleet` — :class:`DeviceProfile` hardware classes
   and the :func:`register_fleet` registry (``tiers``/``uniform``/
-  ``profile-list``/``hierarchical``): the single owner of the
+  ``profile-list``): the single owner of the
   client→device assignment, shared by the simulator and the
   availability sampler;
 * :mod:`~repro.systems.timeline` — download→compute→upload timelines for
@@ -65,7 +65,6 @@ from .fleet import (
     DeviceProfile,
     Fleet,
     FleetSpec,
-    HierarchicalFleet,
     available_fleets,
     build_fleet,
     fleet_specs,
@@ -123,7 +122,6 @@ __all__ = [
     "RASPBERRY_PI",
     "WORKSTATION",
     "Fleet",
-    "HierarchicalFleet",
     "FleetSpec",
     "register_fleet",
     "unregister_fleet",

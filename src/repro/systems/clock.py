@@ -10,7 +10,7 @@ deterministic spine of the subsystem:
   or platform.
 * **Seeded randomness** — the clock owns the simulation's only RNG
   (``numpy`` generator seeded at construction); anything stochastic
-  (duration jitter, diurnal phases) draws from it in a fixed call order,
+  (duration jitter) draws from it in a fixed call order,
   so one seed reproduces one timeline bit-for-bit.
 * **A drained-event trace** — every popped event is appended to
   :attr:`trace`, which the determinism tests compare across runs and

@@ -25,6 +25,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._doc import first_doc_line
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -160,15 +162,6 @@ class Fleet:
         flops, up, down = self._rates()
         return flops[indices], up[indices], down[indices]
 
-    def upload_rates(self, client_ids) -> np.ndarray:
-        """Effective per-client upload rate for one round's cohort.
-
-        The base fleet has no shared links, so this is just the device
-        uplink; :class:`HierarchicalFleet` overrides it to price regional
-        uplink contention across the cohort.
-        """
-        return self._rates()[1][self.profile_indices(client_ids)]
-
     def device_classes(self) -> Tuple[str, ...]:
         """Distinct device-class names in this fleet, in first-seen order."""
         seen: Dict[str, None] = {}
@@ -178,53 +171,6 @@ class Fleet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Fleet(classes={self.device_classes()})"
-
-
-class HierarchicalFleet(Fleet):
-    """Two-tier fleet: clients upload through shared region cells.
-
-    Clients are spread over ``regions`` edge aggregators (cell towers /
-    regional gateways) by ``client_id % regions``.  Each region shares one
-    backhaul uplink of ``region_uplink_bytes_per_second``: when a round's
-    cohort puts ``k`` clients in the same cell, each gets an equal
-    ``uplink / k`` share, and a client's effective upload rate is the
-    minimum of its device uplink and that share — so bandwidth contention
-    falls out of the pricing with no extra event machinery.  Compute and
-    download are unaffected (the download path is server → broadcast).
-    """
-
-    def __init__(
-        self,
-        cycle: Sequence[DeviceProfile] = (EDGE_PHONE,),
-        assignments: Sequence[DeviceProfile] = (),
-        *,
-        regions: int = 1,
-        region_uplink_bytes_per_second: float = float("inf"),
-    ) -> None:
-        super().__init__(cycle, assignments)
-        if regions < 1:
-            raise ValueError(f"regions must be >= 1, got {regions}")
-        if region_uplink_bytes_per_second <= 0:
-            raise ValueError("region_uplink_bytes_per_second must be positive")
-        self.regions = int(regions)
-        self.region_uplink_bytes_per_second = float(region_uplink_bytes_per_second)
-
-    def cells_for(self, client_ids) -> np.ndarray:
-        """Region-cell index of each client (``client_id % regions``)."""
-        return np.asarray(client_ids, dtype=np.int64) % self.regions
-
-    def upload_rates(self, client_ids) -> np.ndarray:
-        device_up = super().upload_rates(client_ids)
-        cells = self.cells_for(client_ids)
-        occupancy = np.bincount(cells, minlength=self.regions)
-        fair_share = self.region_uplink_bytes_per_second / occupancy[cells]
-        return np.minimum(device_up, fair_share)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HierarchicalFleet(classes={self.device_classes()}, "
-            f"regions={self.regions})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -243,24 +189,19 @@ class FleetSpec:
     name: str
     factory: Callable[..., Fleet]
     summary: str = ""
-    tiers: str = "clients → server"
 
 
 _REGISTRY: Dict[str, FleetSpec] = {}
 
 
-def register_fleet(
-    name: str, *, summary: str = "", tiers: str = "clients → server"
-) -> Callable:
+def register_fleet(name: str, *, summary: str = "") -> Callable:
     """Decorator adding a fleet factory to the registry under ``name``."""
 
     def decorator(factory: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"fleet {name!r} is already registered")
-        doc = summary or (factory.__doc__ or "").strip().splitlines()[0].strip()
-        _REGISTRY[name] = FleetSpec(
-            name=name, factory=factory, summary=doc, tiers=tiers
-        )
+        doc = summary or first_doc_line(factory)
+        _REGISTRY[name] = FleetSpec(name=name, factory=factory, summary=doc)
         return factory
 
     return decorator
@@ -332,29 +273,3 @@ def _profile_list_fleet(num_clients: int, scenario) -> Fleet:
         )
     assignments = resolve_profiles(names)
     return Fleet(cycle=assignments[-1:], assignments=assignments)
-
-
-@register_fleet(
-    "hierarchical",
-    summary="two-tier fleet: device classes round-robin, uploads share "
-    "per-region backhaul uplinks (client_id mod regions)",
-    tiers="clients → region cells → server",
-)
-def _hierarchical_fleet(num_clients: int, scenario) -> HierarchicalFleet:
-    profiles = resolve_profiles(scenario.profiles) or (EDGE_PHONE,)
-    regions = getattr(scenario, "regions", 0)
-    uplink = getattr(scenario, "region_uplink_bytes_per_second", 0.0)
-    if regions < 1:
-        raise ValueError(
-            "the 'hierarchical' fleet requires scenario.regions >= 1 "
-            "(number of edge-aggregator cells)"
-        )
-    if uplink <= 0:
-        raise ValueError(
-            "the 'hierarchical' fleet requires "
-            "scenario.region_uplink_bytes_per_second > 0 "
-            "(shared backhaul capacity per cell)"
-        )
-    return HierarchicalFleet(
-        cycle=profiles, regions=regions, region_uplink_bytes_per_second=uplink
-    )

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._doc import first_doc_line
 from .clock import SimClock
 from .events import UPLOAD_DONE, Event
 from .fleet import Fleet
@@ -385,7 +386,7 @@ def register_round_policy(name: str, *, summary: str = "") -> Callable:
     def decorator(factory: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"round policy {name!r} is already registered")
-        doc = summary or (factory.__doc__ or "").strip().splitlines()[0].strip()
+        doc = summary or first_doc_line(factory)
         _REGISTRY[name] = RoundPolicySpec(name=name, factory=factory, summary=doc)
         return factory
 

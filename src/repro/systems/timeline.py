@@ -157,19 +157,16 @@ def build_round_timelines(
     """Timelines for every starting client, in the given (sampled) order.
 
     A backward pass costs about twice the forward pass, so each training
-    example is priced at 3× the inference FLOPs.  Uplinks come from
-    :meth:`Fleet.upload_rates <repro.systems.fleet.Fleet.upload_rates>`, so
-    hierarchical fleets price shared-cell contention.  Clients missing
+    example is priced at 3× the inference FLOPs.  Clients missing
     from a ``traffic`` map are priced at zero bytes — they still pay their
     compute time.  ``jitter_factors`` (aligned with ``client_ids``, the
     simulator's draw order) scales every phase of each client.
     """
     ids = np.asarray(client_ids, dtype=np.int64)
     upload_bytes, download_bytes = _traffic_arrays(traffic, ids)
-    flops_rates, _, download_rates = fleet.profile_arrays(ids)
-    upload_rates = fleet.upload_rates(ids)
+    flops_rates, uplink_rates, download_rates = fleet.profile_arrays(ids)
     compute = (3.0 * flops_per_example * examples_per_round) / flops_rates
-    up = upload_bytes / upload_rates
+    up = upload_bytes / uplink_rates
     down = download_bytes / download_rates
     if jitter_factors is not None:
         factors = np.asarray(jitter_factors, dtype=np.float64)

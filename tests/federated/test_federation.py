@@ -30,6 +30,18 @@ def tiny_config(**overrides):
     return FederationConfig(**base)
 
 
+def availability_scenario_config():
+    return FederationConfig(
+        dataset="mnist", algorithm="fedavg", num_clients=6, rounds=2, seed=0,
+        scenario=ScenarioConfig(
+            sampler="availability",
+            fleet="uniform",
+            profiles=("edge-phone", "raspberry-pi"),
+            profile_participation={"edge-phone": 0.5, "raspberry-pi": 0.9},
+        ),
+    )
+
+
 class TestConfigSerialization:
     def test_dict_round_trip_equality(self):
         config = tiny_config(
@@ -192,6 +204,64 @@ class TestLegacyConfigMigration:
             payload = config.to_dict()
             payload["systems"]["pricing"] = pricing
             assert FederationConfig.from_dict(payload) == config
+
+    def test_fleet_workload_scenario_hash_pinned(self):
+        """The perfbench fleet workload's config at seed 1 keeps its hash:
+        a non-default scenario section (device profiles) beside a
+        ``systems`` section and a non-default client cache."""
+        config = FederationConfig(
+            dataset="mnist", algorithm="sub-fedavg-un", num_clients=100,
+            rounds=4, sample_fraction=0.1, seed=1, backend="process",
+            workers=2, client_cache=16, local={"epochs": 1},
+            scenario={"profiles": ["edge-phone", "raspberry-pi"]},
+            systems={"round_policy": "async-buffer"},
+        )
+        assert config.stable_hash() == "8e231c8e2d86a2ae"
+
+    def test_availability_scenario_hash_pinned(self):
+        assert availability_scenario_config().stable_hash() == "1d07e51481c9498e"
+
+    def test_removed_fields_at_defaults_are_dropped_on_load(self):
+        """Payloads stored while the diurnal sampler, the hierarchical
+        fleet and the file state store existed carry their fields at the
+        defaults; those load as if absent, with the same hash."""
+        config = availability_scenario_config()
+        payload = config.to_dict()
+        payload["scenario"].update(
+            diurnal_amplitude=0.8,
+            diurnal_period_seconds=86400.0,
+            diurnal_round_seconds=600.0,
+            regions=0,
+            region_uplink_bytes_per_second=0.0,
+        )
+        payload["state_store"] = "memory"
+        loaded = FederationConfig.from_dict(payload)
+        assert loaded == config
+        assert loaded.stable_hash() == config.stable_hash()
+
+    @pytest.mark.parametrize(
+        "section, name, value, removal",
+        [
+            ("scenario", "regions", 4, "hierarchical fleet was removed"),
+            ("scenario", "region_uplink_bytes_per_second", 5e6,
+             "hierarchical fleet was removed"),
+            ("scenario", "fleet", "hierarchical", "hierarchical fleet was removed"),
+            ("scenario", "diurnal_amplitude", 0.5, "diurnal sampler was removed"),
+            ("scenario", "diurnal_period_seconds", 3600.0,
+             "diurnal sampler was removed"),
+            ("scenario", "diurnal_round_seconds", 60.0,
+             "diurnal sampler was removed"),
+            ("scenario", "sampler", "diurnal", "diurnal sampler was removed"),
+            (None, "state_store", "file", "file state store was removed"),
+        ],
+    )
+    def test_removed_values_raise_naming_the_removal(
+        self, section, name, value, removal
+    ):
+        payload = availability_scenario_config().to_dict()
+        (payload if section is None else payload[section])[name] = value
+        with pytest.raises(ValueError, match=removal):
+            FederationConfig.from_dict(payload)
 
     def test_new_scenario_fields_do_change_the_hash(self):
         base = tiny_config()

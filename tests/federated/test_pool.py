@@ -2,15 +2,13 @@
 
 Two families of guarantees:
 
-* mechanics — lazy materialization, LRU eviction, dirty-only spills, the
-  state stores, pinning during concurrent execution;
+* mechanics — lazy materialization, LRU eviction, dirty-only spills to
+  memory, pinning during concurrent execution;
 * equivalence — a federation trained through a pool (any capacity, any
-  store, any backend) produces *bit-identical* histories to one trained
+  backend) produces *bit-identical* histories to one trained
   on eagerly constructed clients, including stateful algorithms whose
   masks and data order must survive eviction.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -20,11 +18,8 @@ from repro.federated import (
     DataConfig,
     Federation,
     FederationConfig,
-    FileStateStore,
     LocalTrainConfig,
-    MemoryStateStore,
     make_clients,
-    make_state_store,
 )
 from repro.pruning import StructuredConfig, UnstructuredConfig
 from repro.utils.serialization import history_to_dict
@@ -100,15 +95,15 @@ class TestPoolMechanics:
         assert restored.rng_state() == rng_after
 
     def test_restored_client_stays_dirty_on_reeviction(self):
-        """A restored client must keep its store entry alive even if it
+        """A restored client must keep its spilled state alive even if it
         does no further work — forgetting it would resurrect the fresh
         initial state on the next materialization."""
         pool = pool_for(tiny_config(client_cache=1))
         pool[0].train_local(epochs=1)
         pool[1]  # spill 0
         pool[0]  # restore 0 (no new training)
-        pool[1]  # evict 0 again
-        assert int(0) in pool.store
+        pool[1]  # evict 0 again: re-spilled although it did no new work
+        assert pool.spills == 2
         trained = pool[0].model.state_dict()
         fresh = pool.build(0).model.state_dict()
         assert any(
@@ -150,41 +145,13 @@ class TestPoolMechanics:
 
 
 class TestStateStores:
-    def test_memory_store_roundtrip(self):
-        store = MemoryStateStore()
-        assert store.load(5) is None and 5 not in store
-        store.save(5, {"x": 1})
-        assert store.load(5) == {"x": 1} and 5 in store and len(store) == 1
-
-    def test_file_store_roundtrip_and_sharding(self):
-        store = FileStateStore()
-        payload = {"weights": np.arange(4.0), "nested": {"rng": (1, 2)}}
-        store.save(3, payload)
-        store.save(3 + FileStateStore.SHARD, {"other": True})
-        loaded = store.load(3)
-        assert np.array_equal(loaded["weights"], payload["weights"])
-        assert loaded["nested"] == payload["nested"]
-        shards = sorted(os.listdir(store.root))
-        assert shards == ["shard-00000", "shard-00001"]
-        root = store.root
-        store.close()
-        assert not os.path.exists(root)
-
-    def test_make_state_store_rejects_unknown_kind(self):
-        assert isinstance(make_state_store("memory"), MemoryStateStore)
-        assert isinstance(make_state_store("file"), FileStateStore)
-        with pytest.raises(ValueError, match="unknown state store"):
-            make_state_store("redis")
-
     def test_config_validates_pool_fields(self):
         with pytest.raises(ValueError, match="client_cache"):
             tiny_config(client_cache=-1)
-        with pytest.raises(ValueError, match="state store"):
-            tiny_config(state_store="redis")
 
 
 class TestPoolEquivalence:
-    """Capacity, store and backend must never change training results."""
+    """Capacity and backend must never change training results."""
 
     def run(self, **overrides):
         return Federation.from_config(tiny_config(**overrides)).run()
@@ -194,15 +161,6 @@ class TestPoolEquivalence:
         unbounded = self.run(algorithm=algorithm, client_cache=0)
         thrashing = self.run(algorithm=algorithm, client_cache=2)
         assert history_fingerprint(thrashing) == history_fingerprint(unbounded)
-
-    def test_file_store_matches_memory_store(self):
-        memory = self.run(
-            algorithm="sub-fedavg-un", client_cache=2, state_store="memory"
-        )
-        spilled = self.run(
-            algorithm="sub-fedavg-un", client_cache=2, state_store="file"
-        )
-        assert history_fingerprint(spilled) == history_fingerprint(memory)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_backends_match_serial_under_eviction(self, backend):

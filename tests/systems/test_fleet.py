@@ -85,6 +85,14 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_fleet("tiers")(lambda n, s: Fleet())
 
+    def test_factory_without_docstring_has_empty_summary(self):
+        register_fleet("test-nodoc")(lambda n, s: Fleet())
+        try:
+            assert get_fleet("test-nodoc").summary == ""
+        finally:
+            unregister_fleet("test-nodoc")
+        assert "test-nodoc" not in available_fleets()
+
 
 class TestScenarioWiring:
     def test_tiers_uses_scenario_profiles_round_robin(self):
@@ -142,7 +150,6 @@ class TestScenarioWiring:
             scenario=ScenarioConfig(
                 fleet="profile-list",
                 client_profiles=("edge-phone", "raspberry-pi", "workstation"),
-                diurnal_amplitude=0.5,
             ),
         )
         assert FederationConfig.from_json(config.to_json()) == config

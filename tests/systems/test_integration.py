@@ -3,12 +3,10 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from repro.federated import (
     DataConfig,
-    DiurnalSampler,
     Federation,
     FederationConfig,
     FleetSimCallback,
@@ -16,7 +14,7 @@ from repro.federated import (
     SystemsConfig,
 )
 from repro.federated.builder import build_fleet_simulator
-from repro.systems import FleetSimulator, SimClock, SynchronousPolicy
+from repro.systems import FleetSimulator, SynchronousPolicy
 from repro.systems.report import (
     simulated_time_curve,
     simulated_time_to_accuracy,
@@ -82,7 +80,7 @@ class TestConfigPlumbing:
     def test_post_pr4_scenario_fields_hash_only_when_set(self):
         base = tiny_config(scenario=ScenarioConfig(sampler="availability"))
         payload = base._canonical_dict()["scenario"]
-        assert "fleet" not in payload and "diurnal_amplitude" not in payload
+        assert "fleet" not in payload
         tweaked = tiny_config(
             scenario=ScenarioConfig(sampler="availability", fleet="uniform")
         )
@@ -295,61 +293,3 @@ class TestPostHocCallback:
         result = federation.run()
         replay = federation.trainer.fleet_sim.simulate(result)
         assert replay.round_seconds == [r.simulated_seconds for r in result.rounds]
-
-
-class TestDiurnalSampler:
-    def test_seed_determinism(self):
-        a = DiurnalSampler(20, 0.5, seed=3)
-        b = DiurnalSampler(20, 0.5, seed=3)
-        assert [a.sample() for _ in range(5)] == [b.sample() for _ in range(5)]
-
-    def test_day_night_cycle_modulates_availability(self):
-        sampler = DiurnalSampler(
-            10, 1.0, seed=0, amplitude=1.0, period_seconds=100.0, round_seconds=50.0
-        )
-        peak = sampler.availability(t=0.0)
-        # Half a period later every client's availability flips.
-        trough = sampler.availability(t=50.0)
-        assert not np.allclose(peak, trough)
-        # amplitude=0 collapses to flat availability.
-        flat = DiurnalSampler(10, 1.0, seed=0, amplitude=0.0, participation=0.7)
-        assert np.allclose(flat.availability(t=0.0), 0.7)
-        assert np.allclose(flat.availability(t=12345.0), 0.7)
-
-    def test_attached_clock_drives_time(self):
-        sampler = DiurnalSampler(10, 0.5, seed=0, round_seconds=100.0)
-        clock = SimClock()
-        sampler.attach_clock(clock)
-        assert sampler.now == 0.0
-        clock.advance_to(777.0)
-        assert sampler.now == 777.0
-
-    def test_registered_and_buildable_from_scenario(self):
-        from repro.federated.scenario import available_samplers, build_sampler
-
-        assert "diurnal" in available_samplers()
-        sampler = build_sampler(
-            ScenarioConfig(sampler="diurnal", diurnal_amplitude=0.5),
-            num_clients=8,
-            sample_fraction=0.5,
-            seed=0,
-        )
-        assert isinstance(sampler, DiurnalSampler)
-        assert sampler.amplitude == 0.5
-
-    def test_diurnal_run_with_fleet_sim_shares_the_clock(self):
-        config = tiny_config(
-            scenario=dataclasses.replace(SCENARIO, sampler="diurnal"),
-            systems=SystemsConfig(round_policy="synchronous", **PRICING),
-        )
-        federation = Federation.from_config(config)
-        assert federation.trainer.sampler._clock is federation.trainer.fleet_sim.clock
-        result = federation.run()
-        # The clock advanced while sampling, so the run is well-formed.
-        assert federation.trainer.fleet_sim.clock.now > 0
-        assert len(result.rounds) == config.rounds
-
-    def test_never_returns_an_empty_round(self):
-        sampler = DiurnalSampler(6, 0.5, seed=0, amplitude=1.0, participation=1.0)
-        for _ in range(50):
-            assert len(sampler.sample()) >= 1

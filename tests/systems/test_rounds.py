@@ -17,9 +17,13 @@ from repro.systems import (
     SystemsConfig,
     UPLOAD_DONE,
     build_round_policy,
+    available_round_policies,
     build_round_timelines,
     compare_simulated_time_to_accuracy,
+    get_round_policy,
+    register_round_policy,
 )
+from repro.systems import rounds
 
 TWO_TIER = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
 
@@ -74,6 +78,16 @@ def slowest_client_plus_overhead(traffic, overhead=0.5, fleet=TWO_TIER):
         max(client_seconds(cid, up, down) for cid, (up, down) in traffic.items())
         + overhead
     )
+
+
+class TestRegistry:
+    def test_factory_without_docstring_has_empty_summary(self):
+        register_round_policy("test-nodoc")(lambda systems: SynchronousPolicy())
+        try:
+            assert get_round_policy("test-nodoc").summary == ""
+        finally:
+            rounds._REGISTRY.pop("test-nodoc")  # no public unregister
+        assert "test-nodoc" not in available_round_policies()
 
 
 class TestSynchronousPricing:
