@@ -2,8 +2,8 @@
 
 These quantify the per-round cost drivers of the federation simulator:
 convolution forward/backward, one client SGD step, the evaluation forward
-(``no_grad``, no pool argmax), mask derivation and the Sub-FedAvg
-intersection average.
+(``no_grad``, no pool argmax), a federation's final all-client evaluation,
+mask derivation and the Sub-FedAvg intersection average.
 
 Run them at one BLAS thread, as perfbench and CI do; with the default
 thread pool a small machine measures oversubscription, not the kernels::
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.federated import intersection_average
+from repro.federated import Federation, FederationConfig, intersection_average
+from repro.federated import evaluation
 from repro.federated.evaluation import EVAL_CHUNK
 from repro.models import LeNet5, create_model
 from repro.optim import SGD
@@ -76,6 +77,35 @@ def test_lenet_inference_forward(benchmark, lenet, rng=np.random.default_rng(0))
         return logits
 
     benchmark(run)
+
+
+@pytest.fixture(scope="module")
+def fleet_trainer():
+    """The perfbench fleet federation (seed 1) after its 4 rounds, run serially."""
+    config = FederationConfig(
+        dataset="mnist",
+        algorithm="sub-fedavg-un",
+        num_clients=100,
+        rounds=4,
+        sample_fraction=0.1,
+        seed=1,
+        backend="serial",
+        client_cache=16,
+        local={"epochs": 1},
+        scenario={"profiles": ["edge-phone", "raspberry-pi"]},
+        systems={"round_policy": "async-buffer"},
+    )
+    federation = Federation.from_config(config)
+    federation.run()
+    return federation.trainer
+
+
+@pytest.mark.benchmark(group="micro")
+def test_final_evaluation(benchmark, fleet_trainer):
+    """All 100 clients' eval tasks, starting from an empty prediction memo."""
+    benchmark.pedantic(
+        fleet_trainer.evaluate_all, setup=evaluation._memo.clear, rounds=5, iterations=1
+    )
 
 
 @pytest.mark.benchmark(group="micro")

@@ -14,7 +14,6 @@ from ..execution import (
     ClientUpdate,
     ExecutionBackend,
     resolve_backend,
-    run_client_task,
 )
 from ..metrics import History, RoundRecord
 from ..sampler import ClientSampler
@@ -200,10 +199,7 @@ class FederatedTrainer:
             dispatcher.on_round_end(self, round_index, record)
             if self.stop_requested:
                 break
-        updates = self.execute(
-            [self._eval_task(index) for index in range(len(self.clients))]
-        )
-        per_client = {update.client_id: update.accuracy for update in updates}
+        per_client = self._evaluate_clients()
         self.history.final_per_client_accuracy = per_client
         self.history.final_accuracy = float(np.mean(list(per_client.values())))
         dispatcher.on_run_end(self, self.history)
@@ -228,17 +224,16 @@ class FederatedTrainer:
             client_index=client_index, kind="evaluate", load="global", restore=True
         )
 
-    def _evaluate_client(self, client: FederatedClient) -> float:
-        """Personalized test accuracy of one client (runs its eval task)."""
-        index = self.clients.index(client)
-        return run_client_task(client, self._eval_task(index), self.global_state).accuracy
-
-    def evaluate_all(self) -> float:
-        """Paper metric: mean personalized test accuracy over *all* clients."""
+    def _evaluate_clients(self) -> Dict[int, float]:
+        """Personalized test accuracy of every client, by client id (one batch)."""
         updates = self.execute(
             [self._eval_task(index) for index in range(len(self.clients))]
         )
-        return float(np.mean([update.accuracy for update in updates]))
+        return {update.client_id: update.accuracy for update in updates}
+
+    def evaluate_all(self) -> float:
+        """Paper metric: mean personalized test accuracy over *all* clients."""
+        return float(np.mean(list(self._evaluate_clients().values())))
 
     def evaluate_sampled(self, sampled: List[int]) -> float:
         """Mean test accuracy of the given clients on their current models."""

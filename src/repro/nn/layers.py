@@ -42,7 +42,17 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.transpose()
+        if x.ndim == 2 and not self.training:
+            # Eval mode runs one product per row: a 2-D GEMM's summation
+            # order depends on the other rows of the batch, so an example's
+            # logits would depend on its chunk (the evaluation memo needs
+            # them not to).  Train mode keeps the single GEMM.
+            rows = len(x)
+            out = (x.reshape(rows, 1, self.in_features) @ self.weight.transpose()).reshape(
+                rows, self.out_features
+            )
+        else:
+            out = x @ self.weight.transpose()
         if self.bias is not None:
             out = out + self.bias
         return out

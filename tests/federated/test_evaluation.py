@@ -1,13 +1,23 @@
-"""Confusion matrices, per-class accuracy and fairness reports."""
+"""Confusion matrices, per-class accuracy, fairness reports and the
+evaluation forward with its prediction memo."""
+
+import copy
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, Subset
+from repro.data import ArrayDataset, AugmentedDataset, GaussianNoise, Subset
 from repro.data.partition import ClientData
 from repro.federated import (
+    DataConfig,
     FairnessReport,
+    Federation,
     FederatedClient,
+    FederationConfig,
     History,
     LocalTrainConfig,
     confusion_matrix,
@@ -16,7 +26,8 @@ from repro.federated import (
     per_class_accuracy,
     predict,
 )
-from repro.federated.evaluation import EVAL_CHUNK
+from repro.federated import evaluation
+from repro.federated.evaluation import EVAL_CHUNK, MEMO_MODELS
 from repro.tensor import Tensor, no_grad
 
 
@@ -115,6 +126,164 @@ class TestPredict:
         tiny_cnn.eval()
         assert client.evaluate(Subset(dataset, [])) == 0.0
         assert not tiny_cnn.training
+
+
+def uncached(model, images):
+    """Argmax of one full eval-mode forward, outside the memo."""
+    model.eval()
+    with no_grad():
+        predictions = model(Tensor(images)).data.argmax(axis=1)
+    model.train()
+    return predictions
+
+
+class TestPredictionMemo:
+    """``predict`` forwards each (model, root example) once per process."""
+
+    @pytest.fixture
+    def root(self, blob_dataset):
+        return blob_dataset
+
+    @pytest.fixture
+    def forwarded(self, monkeypatch):
+        """Number of examples each forward of ``predict`` ran, in order."""
+        counts = []
+        original = evaluation._forward
+
+        def counting(model, images):
+            counts.append(len(images))
+            return original(model, images)
+
+        monkeypatch.setattr(evaluation, "_forward", counting)
+        return counts
+
+    def test_matches_uncached_on_every_client_of_a_federation(self):
+        federation = Federation.from_config(
+            FederationConfig(
+                dataset="mnist",
+                algorithm="sub-fedavg-un",
+                num_clients=4,
+                rounds=1,
+                sample_fraction=1.0,
+                data=DataConfig(n_train=160, n_test=80),
+                local=LocalTrainConfig(epochs=1, batch_size=10),
+            )
+        )
+        federation.run()
+        for client in federation.clients:
+            for view in (client.data.test, client.data.val, client.data.train):
+                assert len(view)
+                expected = uncached(client.model, view.batch(np.arange(len(view)))[0])
+                np.testing.assert_array_equal(predict(client.model, view), expected)
+                np.testing.assert_array_equal(predict(client.model, view), expected)
+
+    @pytest.mark.parametrize("edit", ["weight", "running_var"])
+    def test_in_place_edit_of_one_element_misses(self, tiny_cnn, root, forwarded, edit):
+        view = Subset(root, np.arange(40))
+        predict(tiny_cnn, view)
+        if edit == "weight":
+            tiny_cnn[5].weight.data[0, 0] += 5.0
+        else:
+            tiny_cnn[1].running_var[0] *= 4.0
+        predictions = predict(tiny_cnn, view)
+        assert forwarded == [40, 40]
+        np.testing.assert_array_equal(predictions, uncached(tiny_cnn, root.images[:40]))
+
+    def test_overlapping_view_forwards_only_new_rows(self, tiny_cnn, root, forwarded):
+        first = predict(tiny_cnn, Subset(root, np.arange(0, 40)))
+        nested = Subset(Subset(root, np.arange(20, 60)), np.arange(40))
+        second = predict(tiny_cnn, nested)
+        assert forwarded == [40, 20]
+        np.testing.assert_array_equal(first[20:], second[:20])
+        np.testing.assert_array_equal(second, uncached(tiny_cnn, root.images[20:60]))
+
+    def test_full_hit_runs_no_forward_and_leaves_train_mode(self, tiny_cnn, root, forwarded):
+        view = Subset(root, np.arange(10, 50))
+        first = predict(tiny_cnn, view)
+        tiny_cnn.eval()
+        np.testing.assert_array_equal(predict(tiny_cnn, view), first)
+        assert forwarded == [40]
+        assert tiny_cnn.training
+
+    def test_augmented_views_are_never_cached(self, tiny_cnn, root, forwarded):
+        augmented = AugmentedDataset(root, GaussianNoise(0.1), seed=0)
+        for view in (augmented, Subset(augmented, np.arange(30))):
+            predict(tiny_cnn, view)
+            predict(tiny_cnn, view)
+        assert forwarded == [60, 60, 30, 30]
+        assert root not in evaluation._memo
+
+    def test_least_recently_used_model_is_evicted(self, tiny_cnn, root, forwarded):
+        view = Subset(root, np.arange(8))
+        bias = tiny_cnn[5].bias.data
+        original = bias.copy()
+        predict(tiny_cnn, view)
+        for step in range(1, MEMO_MODELS + 1):  # pushes the first model out
+            bias[0] = original[0] + step
+            predict(tiny_cnn, view)
+        predict(tiny_cnn, view)  # the newest model still hits
+        bias[...] = original
+        predict(tiny_cnn, view)
+        assert forwarded == [8] * (MEMO_MODELS + 2)
+        assert len(evaluation._memo[root]) == MEMO_MODELS
+
+    def test_memo_does_not_keep_the_dataset_alive(self, tiny_cnn, rng):
+        root = ArrayDataset(rng.normal(size=(12, 1, 8, 8)), rng.integers(0, 3, size=12))
+        predict(tiny_cnn, Subset(root, np.arange(6)))
+        assert root in evaluation._memo
+        alive = weakref.ref(root)
+        del root
+        gc.collect()
+        assert alive() is None
+
+    def test_threads_sharing_the_memo_get_exact_predictions(self, tiny_cnn, root):
+        variants = []
+        for step in range(MEMO_MODELS + 2):  # more models than the memo keeps
+            model = copy.deepcopy(tiny_cnn)
+            model[5].bias.data[step % 3] += step
+            variants.append((model, uncached(model, root.images)))
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            # Each thread owns its model objects: predict toggles train/eval.
+            owned = [(copy.deepcopy(model), expected) for model, expected in variants]
+            for _ in range(30):
+                model, expected = owned[rng.integers(len(owned))]
+                rows = rng.choice(len(root), size=rng.integers(1, 40), replace=False)
+                got = predict(model, Subset(root, rows))
+                if not np.array_equal(got, expected[rows]):
+                    errors.append((seed, rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_thread_backend_final_accuracies_equal_serial(self):
+        def final(backend):
+            config = FederationConfig(
+                dataset="mnist",
+                algorithm="fedavg",
+                num_clients=6,
+                rounds=1,
+                sample_fraction=0.5,
+                data=DataConfig(n_train=240, n_test=120),
+                backend=backend,
+                workers=2,
+                local=LocalTrainConfig(epochs=1, batch_size=10),
+            )
+            return Federation.from_config(config).run().final_per_client_accuracy
+
+        assert final("thread") == final("serial")
 
 
 class TestFairnessReport:

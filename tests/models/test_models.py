@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.data import SPECS
+from repro.federated.evaluation import EVAL_CHUNK
 from repro.models import CNN5, LeNet5, MLP, create_model, parameter_census
 from repro.models.registry import input_spatial_size
 from repro.tensor import Tensor, no_grad
@@ -183,3 +185,22 @@ class TestNoGradForward:
         recorded = model(x)
         assert recorded.requires_grad
         assert plain.tobytes() == recorded.data.tobytes()
+
+
+class TestRowInvariantInference:
+    """An example's eval-mode logits do not depend on the rest of its chunk,
+    bit for bit, so ``predict`` may memoize them per example."""
+
+    @pytest.mark.parametrize("dataset", ["mnist", "emnist", "cifar10", "cifar100"])
+    def test_subset_logits_equal_full_forward_rows(self, rng, dataset):
+        model = create_model(dataset, seed=1)
+        for name, buffer in model.named_buffers():
+            buffer[...] = rng.uniform(0.5, 1.5, size=buffer.shape)
+        images = rng.normal(size=(4 * EVAL_CHUNK,) + SPECS[dataset].shape)
+        model.eval()
+        with no_grad():
+            full = model(Tensor(images)).data
+            for size in list(range(1, EVAL_CHUNK + 1)) * 2:
+                rows = rng.choice(len(images), size=size, replace=False)
+                chunk = model(Tensor(images[rows])).data
+                assert chunk.tobytes() == full[rows].tobytes(), (size, rows)
