@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.registry import available_datasets, unregister_dataset
+from repro.data.registry import DATASETS
 from repro.serving import run_load_test
 from repro.serving.loadtest import MICRO_DATASET
 
@@ -26,13 +26,13 @@ from repro.serving.loadtest import MICRO_DATASET
 def isolated_micro_dataset():
     """Drop the harness's dataset registration after this module.
 
-    The registry is process-global and ``SPECS`` is a live view of it;
+    The dataset registry is process-global;
     later-collected suites assert the exact stock family set.
     """
-    registered_before = MICRO_DATASET in available_datasets()
+    registered_before = MICRO_DATASET in DATASETS
     yield
-    if not registered_before and MICRO_DATASET in available_datasets():
-        unregister_dataset(MICRO_DATASET)
+    if not registered_before and MICRO_DATASET in DATASETS:
+        DATASETS.unregister(MICRO_DATASET)
 
 #: (clients, rounds) scale points; the 1k cell is the acceptance gate.
 SCALE_POINTS = ((300, 2), (1000, 2))

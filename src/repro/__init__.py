@@ -13,11 +13,12 @@ Quickstart
 ...     data=DataConfig(n_train=600, n_test=200)))
 >>> history = federation.run()  # doctest: +SKIP
 
-Every experiment axis is a plugin registry: algorithms
-(``repro.federated.register_trainer``), datasets
-(``repro.data.register_dataset``), partition strategies
-(``repro.data.register_partitioner``) and client-participation models
-(``repro.federated.register_sampler``).  Run configs serialize to JSON
+Every experiment axis is a plugin registry, one
+:class:`repro.registry.Registry` each: algorithms
+(``repro.federated.TRAINERS``), datasets (``repro.data.DATASETS``),
+partition strategies (``repro.data.PARTITIONERS``), client-participation
+models (``repro.federated.SAMPLERS``), fleets, round policies, codecs and
+dataset models.  Run configs serialize to JSON
 (including the nested ``data``/``scenario`` scenario sections), and
 callbacks (``ProgressLogger``, ``EarlyStopping``, ``CheckpointCallback``,
 ``FleetSimCallback``) hook into the round loop.

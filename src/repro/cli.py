@@ -46,12 +46,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .data.registry import (
-    available_partitioners,
-    dataset_entries,
-    partitioner_specs,
-)
-from .data.synthetic import SPECS
+from .data.registry import DATASETS, PARTITIONERS
 from .experiments import (
     PRESETS,
     ResultStore,
@@ -85,21 +80,19 @@ from .experiments import (
 )
 from .experiments.sweep import SWEEP_EXECUTORS, merge_overrides
 from .federated import (
+    COMPRESSORS,
+    FLEETS,
+    ROUND_POLICIES,
+    SAMPLERS,
+    TRAINERS,
     Federation,
     FederationConfig,
     ProgressLogger,
     ScenarioConfig,
     SystemsConfig,
-    available_algorithms,
     available_backends,
-    available_fleets,
-    available_round_policies,
-    available_samplers,
-    fleet_specs,
-    round_policy_specs,
-    sampler_specs,
-    trainer_specs,
 )
+from .federated.execution import REMOVED_BACKENDS
 from .utils.serialization import save_history
 
 
@@ -108,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Sub-FedAvg reproduction driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    datasets = tuple(SPECS)
+    datasets = tuple(DATASETS)
     presets = tuple(PRESETS)
 
     def common(p: argparse.ArgumentParser, preset: bool = True) -> None:
@@ -120,25 +113,25 @@ def build_parser() -> argparse.ArgumentParser:
     def scenario_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--partition",
-            choices=available_partitioners(),
+            choices=tuple(PARTITIONERS),
             default=None,
             help="partition strategy (default: the config's, i.e. shard)",
         )
         p.add_argument(
             "--sampler",
-            choices=available_samplers(),
+            choices=tuple(SAMPLERS),
             default=None,
             help="client-participation model (default: the config's, i.e. uniform)",
         )
         p.add_argument(
             "--fleet",
-            choices=available_fleets(),
+            choices=tuple(FLEETS),
             default=None,
             help="client-device fleet shape (default: the config's, i.e. tiers)",
         )
         p.add_argument(
             "--round-policy",
-            choices=available_round_policies(),
+            choices=tuple(ROUND_POLICIES),
             default=None,
             help="enable fleet simulation under this round-completion policy",
         )
@@ -152,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_cmd = sub.add_parser(
         "list",
-        help="show registered algorithms, datasets, partitioners, "
-        "samplers and presets",
+        help="show every registry (algorithms, datasets, partitioners, "
+        "samplers, fleets, round policies, compressors) and the presets",
     )
     list_cmd.set_defaults(func=_cmd_list)
 
     run_cmd = sub.add_parser("run", help="run one algorithm end to end")
     common(run_cmd)
     run_cmd.add_argument(
-        "--algorithm", choices=available_algorithms(), default="sub-fedavg-un"
+        "--algorithm", choices=tuple(TRAINERS), default="sub-fedavg-un"
     )
     run_cmd.add_argument(
         "--config", help="run a serialized FederationConfig JSON file "
@@ -177,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--backend",
-        choices=available_backends(),
+        # Removed names pass the parser so the config refuses them by name.
+        choices=available_backends() + tuple(REMOVED_BACKENDS),
+        metavar="{" + ",".join(available_backends()) + "}",
         default=None,
         help="client-execution backend (default: the config's, i.e. serial)",
     )
@@ -279,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(serve)
     serve.add_argument(
-        "--algorithm", choices=available_algorithms(), default="fedavg"
+        "--algorithm", choices=tuple(TRAINERS), default="fedavg"
     )
     serve.add_argument(
         "--config", help="serve a serialized FederationConfig JSON file"
@@ -351,30 +346,34 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_list(args) -> int:
-    print("algorithms:")
-    for spec in trainer_specs():
-        sections = f" (config: {', '.join(spec.config_sections)})" if spec.config_sections else ""
-        print(f"  {spec.name:18s} {spec.summary}{sections}")
-    print("datasets:")
-    for entry in dataset_entries():
+    def config(names) -> str:
+        return f" (config: {', '.join(names)})" if names else ""
+
+    def summary(entry) -> str:
+        return entry.summary
+
+    def algorithm(spec) -> str:
+        return spec.summary + config(spec.config_sections)
+
+    def dataset(entry) -> str:
         shape = "x".join(str(dim) for dim in entry.spec.shape)
-        print(
-            f"  {entry.name:18s} {shape}, {entry.spec.num_classes} classes"
-            f" — {entry.summary}"
-        )
-    print("partitioners:")
-    for spec in partitioner_specs():
-        fields = f" (config: {', '.join(sorted(set(spec.params.values())))})" if spec.params else ""
-        print(f"  {spec.name:18s} {spec.summary}{fields}")
-    print("samplers:")
-    for spec in sampler_specs():
-        print(f"  {spec.name:18s} {spec.summary}")
-    print("fleets:")
-    for spec in fleet_specs():
-        print(f"  {spec.name:18s} {spec.summary}")
-    print("round-policies:")
-    for spec in round_policy_specs():
-        print(f"  {spec.name:18s} {spec.summary}")
+        return f"{shape}, {entry.spec.num_classes} classes — {entry.summary}"
+
+    def partitioner(spec) -> str:
+        return spec.summary + config(sorted(set(spec.params.values())))
+
+    for header, registry, describe in (
+        ("algorithms", TRAINERS, algorithm),
+        ("datasets", DATASETS, dataset),
+        ("partitioners", PARTITIONERS, partitioner),
+        ("samplers", SAMPLERS, summary),
+        ("fleets", FLEETS, summary),
+        ("round-policies", ROUND_POLICIES, summary),
+        ("compressors", COMPRESSORS, summary),
+    ):
+        print(f"{header}:")
+        for name, entry in registry.items():
+            print(f"  {name:18s} {describe(entry)}")
     print("presets:")
     for preset in PRESETS.values():
         print(

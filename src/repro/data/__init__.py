@@ -1,26 +1,20 @@
 """Datasets, synthetic benchmark generators and non-IID partitioning.
 
 Both scenario axes are registry-driven: datasets register a
-:class:`DatasetSpec` plus loader with :func:`register_dataset`, partition
-strategies register with :func:`register_partitioner`, and ``SPECS`` is a
-live derived view of the dataset registry.
+:class:`DatasetSpec` plus loader with :func:`register_dataset` into
+:data:`DATASETS` (``DATASETS[name].spec``), and partition strategies
+register with :func:`register_partitioner` into :data:`PARTITIONERS`.
 """
 
 from .dataset import ArrayDataset, Dataset, Subset, train_val_split
 from .loader import DataLoader, full_batch
 from .registry import (
+    DATASETS,
+    PARTITIONERS,
     DatasetEntry,
     PartitionerSpec,
-    available_datasets,
-    available_partitioners,
-    dataset_entries,
-    get_dataset,
-    get_partitioner,
-    partitioner_specs,
     register_dataset,
     register_partitioner,
-    unregister_dataset,
-    unregister_partitioner,
 )
 from .partition import (
     ClientData,
@@ -47,7 +41,6 @@ from .transforms import (
     Transform,
 )
 from .synthetic import (
-    SPECS,
     DatasetSpec,
     class_templates,
     generate_split,
@@ -69,16 +62,10 @@ __all__ = [
     "DataConfig",
     "DatasetEntry",
     "PartitionerSpec",
+    "DATASETS",
+    "PARTITIONERS",
     "register_dataset",
     "register_partitioner",
-    "unregister_dataset",
-    "unregister_partitioner",
-    "get_dataset",
-    "get_partitioner",
-    "available_datasets",
-    "available_partitioners",
-    "dataset_entries",
-    "partitioner_specs",
     "shard_partition",
     "dirichlet_partition",
     "iid_partition",
@@ -90,7 +77,6 @@ __all__ = [
     "label_distribution",
     "label_overlap",
     "DatasetSpec",
-    "SPECS",
     "class_templates",
     "generate_split",
     "load_dataset",

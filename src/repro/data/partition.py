@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .dataset import ArrayDataset, Dataset, Subset, train_val_split
-from .registry import get_partitioner, register_partitioner
+from .registry import PARTITIONERS, register_partitioner
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ class ClientData:
     val: Dataset
     test: Dataset
     labels: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-
-    @property
-    def num_train(self) -> int:
-        return len(self.train)
 
 
 @register_partitioner(
@@ -323,7 +319,7 @@ def partition_indices(
     rng: Optional[np.random.Generator] = None,
 ) -> List[np.ndarray]:
     """Run the configured partition strategy via the registry."""
-    spec = get_partitioner(config.partition)
+    spec = PARTITIONERS[config.partition]
     return spec.fn(labels, num_clients, rng=rng, **spec.kwargs_from(config))
 
 

@@ -8,41 +8,39 @@ decorated function, no edits to ``builder.py`` or ``partition.py``.
 
 Datasets register a :class:`~repro.data.synthetic.DatasetSpec` plus a
 loader producing ``(train, test)`` :class:`~repro.data.dataset
-.ArrayDataset` pairs:
+.ArrayDataset` pairs; :data:`DATASETS` maps each name to its entry, so
+``DATASETS[name].spec`` is the dataset's static description:
 
->>> from repro.data.registry import register_dataset
+>>> from repro.data.registry import DATASETS, register_dataset
 >>> from repro.data.synthetic import DatasetSpec
 >>> @register_dataset(DatasetSpec("tiny", (1, 8, 8), 4,
 ...                               signal=2.0, noise=1.0, max_shift=0))
 ... def load_tiny(spec, n_train, n_test, seed):
 ...     ...  # return (train, test) ArrayDatasets
+>>> DATASETS["tiny"].spec.num_classes
+4
 
 Partitioners register a function over ``(labels, num_clients)`` returning
 per-client index arrays, declaring which
 :class:`~repro.data.partition.DataConfig` fields parameterize it:
 
->>> from repro.data.registry import register_partitioner
+>>> from repro.data.registry import PARTITIONERS, register_partitioner
 >>> @register_partitioner("first-come", summary="contiguous equal chunks")
 ... def first_come(labels, num_clients, rng=None):
 ...     ...  # return a list of index arrays, one per client
-
-``SPECS`` in :mod:`repro.data.synthetic` is a live derived view of the
-dataset registry, so registered datasets appear in the CLI, the model
-factory and config validation immediately.
+>>> PARTITIONERS.unregister("first-come").summary
+'contiguous equal chunks'
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Sequence, Union
 
-from .._doc import first_doc_line
+from ..registry import Registry, first_doc_line
 
 
-# ----------------------------------------------------------------------
-# Dataset registry
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DatasetEntry:
     """One registry entry: the static spec plus its split loader.
@@ -57,81 +55,25 @@ class DatasetEntry:
     summary: str = ""
 
 
-_DATASETS: Dict[str, DatasetEntry] = {}
+#: Registered datasets, ``name -> DatasetEntry``.
+DATASETS = Registry("dataset")
 
 
 def register_dataset(spec, *, summary: str = "") -> Callable:
-    """Decorator adding a dataset to the registry under ``spec.name``.
+    """Decorator adding a dataset to :data:`DATASETS` under ``spec.name``.
 
     Apply to the loader function; the decorated function is returned
     unchanged so it stays directly callable.
     """
 
     def decorator(loader: Callable) -> Callable:
-        name = spec.name
-        if name in _DATASETS:
-            raise ValueError(f"dataset {name!r} is already registered")
         doc = summary or first_doc_line(loader)
-        _DATASETS[name] = DatasetEntry(
-            name=name, spec=spec, loader=loader, summary=doc
-        )
+        DATASETS.add(spec.name, DatasetEntry(spec.name, spec, loader, doc))
         return loader
 
     return decorator
 
 
-def get_dataset(name: str) -> DatasetEntry:
-    """Look up one registered dataset; raises ``KeyError`` for unknown names."""
-    try:
-        return _DATASETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown dataset {name!r}; choose from {available_datasets()}"
-        ) from None
-
-
-def available_datasets() -> Tuple[str, ...]:
-    """Registered dataset names, in registration order."""
-    return tuple(_DATASETS)
-
-
-def dataset_entries() -> Tuple[DatasetEntry, ...]:
-    """All dataset registry entries, in registration order."""
-    return tuple(_DATASETS.values())
-
-
-def unregister_dataset(name: str) -> DatasetEntry:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _DATASETS.pop(name)
-    except KeyError:
-        raise KeyError(f"dataset {name!r} is not registered") from None
-
-
-class SpecView(MappingABC):
-    """Live mapping view ``name -> DatasetSpec`` over the dataset registry.
-
-    ``repro.data.synthetic.SPECS`` is an instance of this class, so every
-    existing ``name in SPECS`` / ``SPECS[name]`` / ``SPECS.items()`` call
-    site keeps working while reflecting late registrations immediately.
-    """
-
-    def __getitem__(self, name: str):
-        return get_dataset(name).spec
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_datasets())
-
-    def __len__(self) -> int:
-        return len(_DATASETS)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpecView({available_datasets()})"
-
-
-# ----------------------------------------------------------------------
-# Partitioner registry
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PartitionerSpec:
     """One registry entry: the partition function plus its config contract.
@@ -159,7 +101,8 @@ class PartitionerSpec:
         return kwargs
 
 
-_PARTITIONERS: Dict[str, PartitionerSpec] = {}
+#: Registered partition strategies, ``name -> PartitionerSpec``.
+PARTITIONERS = Registry("partition strategy")
 
 
 def register_partitioner(
@@ -168,7 +111,7 @@ def register_partitioner(
     params: Union[Mapping[str, str], Sequence[str]] = (),
     summary: str = "",
 ) -> Callable:
-    """Decorator adding a partition function to the registry under ``name``.
+    """Decorator adding a partition function to :data:`PARTITIONERS`.
 
     The function must accept ``(labels, num_clients, ...)`` plus an ``rng``
     keyword and return one index array per client.  ``params`` declares the
@@ -180,41 +123,8 @@ def register_partitioner(
         params = {param: param for param in params}
 
     def decorator(fn: Callable) -> Callable:
-        if name in _PARTITIONERS:
-            raise ValueError(f"partitioner {name!r} is already registered")
         doc = summary or first_doc_line(fn)
-        _PARTITIONERS[name] = PartitionerSpec(
-            name=name, fn=fn, params=dict(params), summary=doc
-        )
+        PARTITIONERS.add(name, PartitionerSpec(name, fn, dict(params), doc))
         return fn
 
     return decorator
-
-
-def get_partitioner(name: str) -> PartitionerSpec:
-    """Look up one registered partitioner; raises ``KeyError`` if unknown."""
-    try:
-        return _PARTITIONERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown partition strategy {name!r}; "
-            f"choose from {available_partitioners()}"
-        ) from None
-
-
-def available_partitioners() -> Tuple[str, ...]:
-    """Registered partitioner names, in registration order."""
-    return tuple(_PARTITIONERS)
-
-
-def partitioner_specs() -> Tuple[PartitionerSpec, ...]:
-    """All partitioner registry entries, in registration order."""
-    return tuple(_PARTITIONERS.values())
-
-
-def unregister_partitioner(name: str) -> PartitionerSpec:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _PARTITIONERS.pop(name)
-    except KeyError:
-        raise KeyError(f"partitioner {name!r} is not registered") from None

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import ArrayDataset
-from .registry import SpecView, get_dataset, register_dataset
+from .registry import DATASETS, register_dataset
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ class DatasetSpec:
     noise: float  # per-sample Gaussian noise std
     max_shift: int  # uniform translation jitter, in pixels
     distractor: float = 0.0  # amplitude of an added wrong-class template
-
-
-#: Live ``name -> DatasetSpec`` view over the dataset registry.  Third-party
-#: datasets added with ``@register_dataset`` appear here (and therefore in
-#: config validation, the CLI and the model factory) immediately.
-SPECS = SpecView()
 
 
 def class_templates(spec: DatasetSpec, seed: int) -> np.ndarray:
@@ -194,7 +188,7 @@ def load_dataset(
     (``mnist``, ``emnist``, ``cifar10``, ``cifar100``) plus anything added
     with :func:`~repro.data.registry.register_dataset`.
     """
-    entry = get_dataset(name)
+    entry = DATASETS[name]
     return entry.loader(entry.spec, n_train, n_test, seed)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..data.registry import available_partitioners
+from ..data.registry import PARTITIONERS
 from ..pruning import UnstructuredConfig
 from .presets import partition_override
 from .sweep import CellResult, ResultStore, SweepSpec, Variant, run_sweep
@@ -201,7 +201,7 @@ def partition_spec(
     registered — no edits here.
     """
     names: Tuple[str, ...] = (
-        tuple(partitions) if partitions is not None else available_partitioners()
+        tuple(partitions) if partitions is not None else tuple(PARTITIONERS)
     )
     return SweepSpec(
         name="ablate-partition",

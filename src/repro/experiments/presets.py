@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from ..data.registry import get_partitioner
-from ..federated.scenario import ScenarioConfig, get_sampler
-from ..systems import SystemsConfig, get_fleet, get_round_policy
+from ..data.registry import PARTITIONERS
+from ..federated.scenario import SAMPLERS, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def partition_override(partition: str, **params) -> Dict[str, Any]:
     the registry so a typo or unregistered strategy raises here, where the
     grid is declared, instead of inside a sweep worker.
     """
-    get_partitioner(partition)  # raises KeyError for unknown strategies
+    PARTITIONERS[partition]  # raises KeyError for unknown strategies
     return {"data": {"partition": partition, **params}}
 
 
@@ -95,31 +94,5 @@ def sampler_override(sampler: str, **params) -> Dict[str, Any]:
     ``dropout=0.2``).  The sampler name is validated via the registry at
     declaration time.
     """
-    get_sampler(sampler)  # raises KeyError for unknown samplers
+    SAMPLERS[sampler]  # raises KeyError for unknown samplers
     return {"scenario": ScenarioConfig(sampler=sampler, **params)}
-
-
-def systems_override(round_policy: str, **params) -> Dict[str, Any]:
-    """Config overrides enabling fleet simulation under a *registered* policy.
-
-    Returns a ``{"systems": SystemsConfig(...)}`` override; ``params``
-    are :class:`~repro.systems.config.SystemsConfig` fields (e.g.
-    ``deadline_seconds=1.0``, ``buffer_size=2``).  The policy name — and
-    its parameter constraints, like a positive deadline — are validated
-    here, at grid-declaration time.
-    """
-    get_round_policy(round_policy)  # raises KeyError for unknown policies
-    return {"systems": SystemsConfig(round_policy=round_policy, **params)}
-
-
-def fleet_override(fleet: str, **params) -> Dict[str, Any]:
-    """Config overrides selecting a *registered* fleet shape.
-
-    Returns a ``{"scenario": ScenarioConfig(...)}`` override; ``params``
-    are the remaining scenario fields (typically ``profiles=(...)`` for
-    the ``tiers`` shape or ``client_profiles=(...)`` for
-    ``profile-list``).  The fleet name is validated via the registry at
-    declaration time.
-    """
-    get_fleet(fleet)  # raises KeyError for unknown fleet shapes
-    return {"scenario": ScenarioConfig(fleet=fleet, **params)}

@@ -10,10 +10,10 @@ serializable :class:`FederationConfig`:
 >>> history = federation.run(callbacks=[ProgressLogger()])  # doctest: +SKIP
 
 Algorithms are plugins: trainer classes self-register with
-:func:`register_trainer`, and :data:`ALGORITHMS` is a derived view of the
-registry.  The data scenario is pluggable the same way — datasets and
-partition strategies register in :mod:`repro.data.registry`, participation
-models in :mod:`~repro.federated.scenario` (:func:`register_sampler`), and
+:func:`register_trainer` into :data:`TRAINERS`, a read-only mapping from
+algorithm name to entry.  The data scenario is pluggable the same way —
+datasets and partition strategies register in :mod:`repro.data.registry`,
+participation models in :data:`SAMPLERS` (:func:`register_sampler`), and
 the nested ``data``/``scenario`` config sections select them per run.
 Client execution is pluggable too: per-round local work runs on
 an :mod:`~repro.federated.execution` backend (``serial``, ``thread`` or
@@ -30,14 +30,7 @@ from .aggregation import (
     partial_average,
     zero_fill_average,
 )
-from .registry import (
-    TrainerSpec,
-    available_algorithms,
-    get_trainer,
-    register_trainer,
-    trainer_specs,
-    unregister_trainer,
-)
+from .registry import TRAINERS, TrainerSpec, register_trainer
 from .callbacks import (
     Callback,
     CallbackList,
@@ -52,7 +45,6 @@ from .execution import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    SpawnProcessBackend,
     ThreadBackend,
     WorkerPool,
     available_backends,
@@ -76,16 +68,7 @@ from .sampler import (
     ClientSampler,
     FixedSampler,
 )
-from .scenario import (
-    SamplerSpec,
-    ScenarioConfig,
-    available_samplers,
-    build_sampler,
-    get_sampler,
-    register_sampler,
-    sampler_specs,
-    unregister_sampler,
-)
+from .scenario import SAMPLERS, ScenarioConfig, build_sampler, register_sampler
 from ..data.partition import DataConfig
 from .trainers import (
     FedAvg,
@@ -98,24 +81,20 @@ from .trainers import (
     SubFedAvgUn,
 )
 from .compression import (
+    COMPRESSORS,
     CompressionConfig,
     Compressor,
-    CompressorSpec,
     EncodedState,
     FedAvgCompressed,
     IdentityCompressor,
     QuantizationCompressor,
     RandomMaskCompressor,
     TopKCompressor,
-    available_compressors,
     build_compressor,
-    compressor_specs,
     decode_state,
-    get_compressor,
     pack_state,
     register_compressor,
     unpack_state,
-    unregister_compressor,
 )
 from .robust import (
     AvailabilityModel,
@@ -129,17 +108,15 @@ from .trainers.finetune import FedAvgFinetune
 from ..systems import (
     DEVICE_PROFILES,
     EDGE_PHONE,
+    FLEETS,
     RASPBERRY_PI,
+    ROUND_POLICIES,
     WORKSTATION,
     DeviceProfile,
     Fleet,
     FleetSimCallback,
     FleetSimulator,
     SystemsConfig,
-    available_fleets,
-    available_round_policies,
-    fleet_specs,
-    round_policy_specs,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import (
@@ -152,14 +129,6 @@ from .evaluation import (
 )
 from . import accounting
 
-def __getattr__(name: str):
-    # ALGORITHMS is a live derived view of the registry, not a snapshot:
-    # plugins registered (or unregistered) after this package was imported
-    # are reflected immediately.
-    if name == "ALGORITHMS":
-        return available_algorithms()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Federation",
     "FederationConfig",
@@ -169,19 +138,15 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "SpawnProcessBackend",
     "WorkerPool",
     "WIRE_VERSION",
     "available_backends",
     "resolve_backend",
     "resolve_start_method",
     "run_client_task",
+    "TRAINERS",
     "TrainerSpec",
     "register_trainer",
-    "unregister_trainer",
-    "get_trainer",
-    "trainer_specs",
-    "available_algorithms",
     "Callback",
     "CallbackList",
     "ProgressLogger",
@@ -194,14 +159,10 @@ __all__ = [
     "ClientSampler",
     "FixedSampler",
     "AvailabilitySampler",
-    "SamplerSpec",
+    "SAMPLERS",
     "ScenarioConfig",
     "DataConfig",
     "register_sampler",
-    "unregister_sampler",
-    "get_sampler",
-    "available_samplers",
-    "sampler_specs",
     "build_sampler",
     "History",
     "RoundRecord",
@@ -221,10 +182,9 @@ __all__ = [
     "make_clients",
     "model_factory",
     "ModelFactory",
-    "ALGORITHMS",
     "accounting",
+    "COMPRESSORS",
     "Compressor",
-    "CompressorSpec",
     "CompressionConfig",
     "EncodedState",
     "IdentityCompressor",
@@ -233,10 +193,6 @@ __all__ = [
     "QuantizationCompressor",
     "FedAvgCompressed",
     "register_compressor",
-    "unregister_compressor",
-    "get_compressor",
-    "available_compressors",
-    "compressor_specs",
     "build_compressor",
     "decode_state",
     "pack_state",
@@ -254,10 +210,8 @@ __all__ = [
     "FleetSimulator",
     "FleetSimCallback",
     "SystemsConfig",
-    "available_fleets",
-    "available_round_policies",
-    "fleet_specs",
-    "round_policy_specs",
+    "FLEETS",
+    "ROUND_POLICIES",
     "EDGE_PHONE",
     "RASPBERRY_PI",
     "WORKSTATION",

@@ -43,18 +43,18 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Mapping
 
 from ..data import DataConfig, build_client_data, load_dataset
-from ..data.registry import get_dataset, get_partitioner
+from ..data.registry import DATASETS, PARTITIONERS
 from ..models import create_model
 from ..pruning import StructuredConfig, UnstructuredConfig
 from ..systems import FleetSimulator, SystemsConfig, build_round_policy
 from .accounting.flops import dense_conv_flops
 from .client import FederatedClient, LocalTrainConfig
 from .compression import CompressionConfig
-from .execution import BACKENDS
+from .execution import backend_class
 from .pool import ClientPool
-from .scenario import ScenarioConfig, build_sampler, get_sampler
+from .scenario import SAMPLERS, ScenarioConfig, build_sampler
 from . import trainers as _trainers  # noqa: F401  (populates the registry)
-from .registry import available_algorithms, get_trainer
+from .registry import TRAINERS
 from .trainers.base import FederatedTrainer
 
 #: Nested config sections and the dataclass each deserializes into.
@@ -195,14 +195,10 @@ class FederationConfig:
             value = getattr(self, section)
             if isinstance(value, Mapping):
                 object.__setattr__(self, section, section_cls(**value))
-        get_dataset(self.dataset)  # raises KeyError for unknown datasets
-        get_partitioner(self.data.partition)  # raises KeyError if unknown
-        get_sampler(self.scenario.sampler)  # raises KeyError if unknown
-        if self.backend not in BACKENDS:
-            raise KeyError(
-                f"unknown execution backend {self.backend!r}; "
-                f"choose from {sorted(BACKENDS)}"
-            )
+        DATASETS[self.dataset]  # raises KeyError for unknown datasets
+        PARTITIONERS[self.data.partition]  # raises KeyError if unknown
+        SAMPLERS[self.scenario.sampler]  # raises KeyError if unknown
+        backend_class(self.backend)  # raises for unknown or removed backends
         if self.num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.eval_every < 0:
@@ -213,7 +209,7 @@ class FederationConfig:
             raise ValueError(
                 f"client_cache must be >= 0, got {self.client_cache}"
             )
-        get_trainer(self.algorithm)  # raises KeyError for unknown algorithms
+        TRAINERS[self.algorithm]  # raises KeyError for unknown algorithms
 
     # ------------------------------------------------------------------
     # Serialization
@@ -242,7 +238,7 @@ class FederationConfig:
         fields of the removed diurnal sampler, hierarchical fleet and file
         state store are dropped at their defaults; any other value, and
         ``scenario.sampler="diurnal"`` or ``scenario.fleet="hierarchical"``,
-        raises ``ValueError``.
+        raises ``ValueError``, as does the deleted ``backend="process-spawn"``.
         """
         data = dict(payload)
         compute = dict(data.pop("compute", None) or {})
@@ -383,7 +379,7 @@ def make_clients(config: FederationConfig) -> ClientPool:
         seed=config.seed,
     )
     local = config.local
-    for name, default in get_trainer(config.algorithm).local_defaults.items():
+    for name, default in TRAINERS[config.algorithm].local_defaults.items():
         if getattr(local, name) <= 0:
             local = replace(local, **{name: default})
     return ClientPool(
@@ -436,7 +432,7 @@ def build_fleet_simulator(
     systems = config.systems if config.systems is not None else SystemsConfig()
     flops = systems.flops_per_example
     if flops <= 0:
-        spec = get_dataset(config.dataset).spec
+        spec = DATASETS[config.dataset].spec
         model = create_model(config.dataset, seed=config.seed)
         flops = float(dense_conv_flops(model, input_size=spec.shape[-1]))
         if flops <= 0:
@@ -469,7 +465,7 @@ def build_trainer(
     (e.g. ``aggregator=`` for ablations or ``track_trajectory=`` for
     Figure 1).
     """
-    spec = get_trainer(config.algorithm)
+    spec = TRAINERS[config.algorithm]
     sampler = build_sampler(
         config.scenario, len(clients), config.sample_fraction, config.seed
     )
@@ -509,11 +505,3 @@ def build_trainer(
             kwargs[section] = value
     kwargs.update(overrides)
     return spec.cls(**kwargs)
-
-
-def __getattr__(name: str):
-    # ALGORITHMS is a live view of the registry (modules registering after
-    # this one imports — compression, robustness, plugins — still appear).
-    if name == "ALGORITHMS":
-        return available_algorithms()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,10 +15,10 @@ a wire:
 * :meth:`Compressor.roundtrip` preserves the historical simulation
   contract (``decoded_update, bits``) for in-process callers.
 
-Codecs register with :func:`register_compressor` and are selected by a
-:class:`CompressionConfig` (the ``compression:`` section of
-``FederationConfig``); :func:`build_compressor` resolves one.  The serving
-layer uses the same registry for its uplink transport codec.
+Codecs register in :data:`COMPRESSORS` with :func:`register_compressor`
+and are selected by a :class:`CompressionConfig` (the ``compression:``
+section of ``FederationConfig``); :func:`build_compressor` resolves one.
+The serving layer uses the same registry for its uplink transport codec.
 
 Modeled bits vs container bytes: the paper's accounting convention prices
 values at 32 bits (``FLOAT_BITS``) plus 1-bit occupancy masks
@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .._doc import first_doc_line
+from ..registry import Registry
 from ..pruning.unstructured import _rank_threshold
 from .accounting.communication import FLOAT_BITS, MASK_BITS
 from .execution import ClientUpdate
@@ -332,62 +332,10 @@ class QuantizationCompressor(Compressor):
 # ----------------------------------------------------------------------
 # Codec registry + config section
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CompressorSpec:
-    """One registry entry: a factory from config to codec instance."""
-
-    name: str
-    factory: Callable[["CompressionConfig"], Compressor]
-    summary: str = ""
-
-
-_REGISTRY: Dict[str, CompressorSpec] = {}
-
-
-def register_compressor(name: str, *, summary: str = "") -> Callable:
-    """Decorator adding a codec factory to the registry under ``name``.
-
-    The factory receives the :class:`CompressionConfig` selecting it and
-    returns a :class:`Compressor`; the decorated function is returned
-    unchanged so it stays directly callable.
-    """
-
-    def decorator(factory: Callable) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"compressor {name!r} is already registered")
-        doc = summary or first_doc_line(factory)
-        _REGISTRY[name] = CompressorSpec(name=name, factory=factory, summary=doc)
-        return factory
-
-    return decorator
-
-
-def get_compressor(name: str) -> CompressorSpec:
-    """Look up one registered codec; raises ``KeyError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown compressor {name!r}; choose from {available_compressors()}"
-        ) from None
-
-
-def available_compressors() -> Tuple[str, ...]:
-    """Registered codec names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def compressor_specs() -> Tuple[CompressorSpec, ...]:
-    """All registry entries, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def unregister_compressor(name: str) -> CompressorSpec:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise KeyError(f"compressor {name!r} is not registered") from None
+#: Registered codecs, ``name -> Plugin`` whose ``factory`` receives the
+#: :class:`CompressionConfig` selecting it and returns a :class:`Compressor`.
+COMPRESSORS = Registry("compressor")
+register_compressor = COMPRESSORS.register
 
 
 @dataclass(frozen=True)
@@ -406,7 +354,7 @@ class CompressionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        get_compressor(self.codec)  # raises KeyError for unknown codecs
+        COMPRESSORS[self.codec]  # raises KeyError for unknown codecs
 
 
 def build_compressor(
@@ -417,7 +365,7 @@ def build_compressor(
         config = CompressionConfig()
     elif isinstance(config, str):
         config = CompressionConfig(codec=config)
-    return get_compressor(config.codec).factory(config)
+    return COMPRESSORS[config.codec].factory(config)
 
 
 def decode_state(encoded: Union[EncodedState, bytes]) -> State:

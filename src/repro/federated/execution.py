@@ -568,27 +568,42 @@ class ProcessBackend(ExecutionBackend):
         )
 
 
-class SpawnProcessBackend(ProcessBackend):
-    """Explicit ``spawn``-start process pool (the no-fork platform path)."""
-
-    name = "process-spawn"
-
-    def __init__(self, workers: int = 0) -> None:
-        super().__init__(workers=workers, start_method="spawn")
-
-
 #: Registry of constructible backends, keyed by config/CLI name.
 BACKENDS = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
-    SpawnProcessBackend.name: SpawnProcessBackend,
+}
+
+#: Deleted backend names a stored config or ``--backend`` may still carry,
+#: mapped to the removal to name.
+REMOVED_BACKENDS = {
+    "process-spawn": "the process-spawn backend was removed; use 'process', "
+    "which starts its workers with spawn wherever fork is missing",
 }
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names accepted by ``FederationConfig.backend`` and ``--backend``."""
     return tuple(BACKENDS)
+
+
+def backend_class(name: str) -> type:
+    """The backend class a config name selects.
+
+    A removed name raises ``ValueError`` naming the removal; any other
+    unknown name raises ``KeyError``.
+    """
+    if name in REMOVED_BACKENDS:
+        raise ValueError(
+            f"backend={name!r} is no longer available: {REMOVED_BACKENDS[name]}"
+        )
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown execution backend {name!r}; choose from {sorted(BACKENDS)}"
+        ) from None
 
 
 def resolve_backend(
@@ -599,11 +614,4 @@ def resolve_backend(
         return SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {backend!r}; "
-            f"choose from {sorted(BACKENDS)}"
-        ) from None
-    return cls(workers=workers)
+    return backend_class(backend)(workers=workers)

@@ -7,23 +7,27 @@ the :func:`register_trainer` decorator, declaring which optional
 patched into clients' :class:`~repro.federated.client.LocalTrainConfig`
 (e.g. FedProx's ``prox_mu``).  Construction sites — the builder, the
 :class:`~repro.federated.federation.Federation` facade and the CLI — look
-algorithms up here instead of hard-coding an if/elif chain, so adding an
-algorithm is one decorated class, no core edits:
+algorithms up in :data:`TRAINERS` instead of hard-coding an if/elif chain,
+so adding an algorithm is one decorated class, no core edits:
 
->>> from repro.federated.registry import register_trainer
+>>> from repro.federated.registry import TRAINERS, register_trainer
 >>> from repro.federated.trainers.base import FederatedTrainer
 >>> @register_trainer("my-algo")
 ... class MyAlgo(FederatedTrainer):
 ...     def _round(self, round_index, sampled):
 ...         ...
+>>> TRAINERS["my-algo"].cls is MyAlgo
+True
+>>> TRAINERS.unregister("my-algo").name
+'my-algo'
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple, Type
+from typing import Callable, Mapping, Tuple, Type
 
-from .._doc import first_doc_line
+from ..registry import Registry, first_doc_line
 
 #: FederationConfig attributes a trainer may declare in ``config_sections``.
 KNOWN_CONFIG_SECTIONS = ("unstructured", "structured", "compression")
@@ -40,7 +44,8 @@ class TrainerSpec:
     summary: str = ""
 
 
-_REGISTRY: Dict[str, TrainerSpec] = {}
+#: Registered algorithms, ``name -> TrainerSpec``.
+TRAINERS = Registry("algorithm")
 
 
 def register_trainer(
@@ -50,7 +55,7 @@ def register_trainer(
     local_defaults: Mapping[str, float] = (),
     summary: str = "",
 ) -> Callable[[Type], Type]:
-    """Class decorator adding a trainer to the registry under ``name``.
+    """Class decorator adding a trainer to :data:`TRAINERS` under ``name``.
 
     ``config_sections`` names the optional :class:`FederationConfig`
     sections forwarded to the constructor (keyword arguments of the same
@@ -67,48 +72,17 @@ def register_trainer(
             )
 
     def decorator(cls: Type) -> Type:
-        if name in _REGISTRY:
-            raise ValueError(
-                f"trainer {name!r} is already registered "
-                f"(by {_REGISTRY[name].cls.__name__})"
-            )
-        doc = summary or first_doc_line(cls)
-        cls.algorithm_name = name
-        _REGISTRY[name] = TrainerSpec(
-            name=name,
-            cls=cls,
-            config_sections=tuple(config_sections),
-            local_defaults=dict(local_defaults),
-            summary=doc,
+        TRAINERS.add(
+            name,
+            TrainerSpec(
+                name=name,
+                cls=cls,
+                config_sections=tuple(config_sections),
+                local_defaults=dict(local_defaults),
+                summary=summary or first_doc_line(cls),
+            ),
         )
+        cls.algorithm_name = name
         return cls
 
     return decorator
-
-
-def get_trainer(name: str) -> TrainerSpec:
-    """Look up one registered trainer; raises ``KeyError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {name!r}; choose from {available_algorithms()}"
-        ) from None
-
-
-def available_algorithms() -> Tuple[str, ...]:
-    """Registered algorithm names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def trainer_specs() -> Tuple[TrainerSpec, ...]:
-    """All registry entries, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def unregister_trainer(name: str) -> TrainerSpec:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise KeyError(f"trainer {name!r} is not registered") from None

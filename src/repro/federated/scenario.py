@@ -7,10 +7,12 @@ and is selected per run via the ``scenario`` section of
 :class:`~repro.federated.builder.FederationConfig` — no edits to the
 builder or trainers:
 
->>> from repro.federated.scenario import register_sampler
+>>> from repro.federated.scenario import SAMPLERS, register_sampler
 >>> @register_sampler("every-other-round")
 ... def every_other(num_clients, sample_fraction, seed, scenario):
 ...     ...  # return a ClientSampler-compatible object
+>>> SAMPLERS.unregister("every-other-round").factory is every_other
+True
 
 Shipped models: ``uniform`` (the paper's protocol), ``fixed`` (a pinned
 subset) and ``availability`` (per-client participation probabilities
@@ -18,9 +20,9 @@ plus i.i.d. dropout — see
 :class:`~repro.federated.sampler.AvailabilitySampler`).
 
 The scenario also names the run's *fleet* — which hardware each client
-is, resolved through the :func:`~repro.systems.fleet.register_fleet`
-registry.  The fleet is shared by everything device-aware: the
-availability sampler's profile map and the
+is, resolved through the :data:`~repro.systems.fleet.FLEETS` registry.
+The fleet is shared by everything device-aware: the availability
+sampler's profile map and the
 :class:`~repro.systems.rounds.FleetSimulator` configured by the
 ``systems`` section.
 """
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
-from .._doc import first_doc_line
-from ..systems.fleet import Fleet, build_fleet, get_fleet
+from ..registry import Registry
+from ..systems.fleet import FLEETS, Fleet, build_fleet
 from .sampler import (
     AvailabilitySampler,
     ClientSampler,
@@ -109,69 +111,19 @@ class ScenarioConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        get_fleet(self.fleet)  # raises KeyError for unknown fleet shapes
+        FLEETS[self.fleet]  # raises KeyError for unknown fleet shapes
 
     def build_fleet(self, num_clients: int) -> Fleet:
         """The client→device assignment this scenario describes."""
         return build_fleet(self, num_clients)
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    """One registry entry: the factory plus its description.
-
-    ``factory(num_clients, sample_fraction, seed, scenario)`` must return
-    an object with the :class:`~repro.federated.sampler.ClientSampler`
-    interface (``sample()`` and ``clients_per_round``).
-    """
-
-    name: str
-    factory: Callable[..., ClientSampler]
-    summary: str = ""
-
-
-_REGISTRY: Dict[str, SamplerSpec] = {}
-
-
-def register_sampler(name: str, *, summary: str = "") -> Callable:
-    """Decorator adding a sampler factory to the registry under ``name``."""
-
-    def decorator(factory: Callable) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"sampler {name!r} is already registered")
-        doc = summary or first_doc_line(factory)
-        _REGISTRY[name] = SamplerSpec(name=name, factory=factory, summary=doc)
-        return factory
-
-    return decorator
-
-
-def get_sampler(name: str) -> SamplerSpec:
-    """Look up one registered sampler; raises ``KeyError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sampler {name!r}; choose from {available_samplers()}"
-        ) from None
-
-
-def available_samplers() -> Tuple[str, ...]:
-    """Registered sampler names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def sampler_specs() -> Tuple[SamplerSpec, ...]:
-    """All sampler registry entries, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def unregister_sampler(name: str) -> SamplerSpec:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise KeyError(f"sampler {name!r} is not registered") from None
+#: Registered participation models, ``name -> Plugin`` whose
+#: ``factory(num_clients, sample_fraction, seed, scenario)`` returns an
+#: object with the :class:`~repro.federated.sampler.ClientSampler`
+#: interface (``sample()`` and ``clients_per_round``).
+SAMPLERS = Registry("sampler")
+register_sampler = SAMPLERS.register
 
 
 def build_sampler(
@@ -181,7 +133,7 @@ def build_sampler(
     seed: int,
 ) -> ClientSampler:
     """Instantiate the configured participation model via the registry."""
-    return get_sampler(scenario.sampler).factory(
+    return SAMPLERS[scenario.sampler].factory(
         num_clients, sample_fraction, seed, scenario
     )
 

@@ -5,11 +5,11 @@ from .cnn import CNN5
 from .lenet import LeNet5
 from .mlp import MLP
 from .registry import (
+    MODELS,
     create_model,
     input_spatial_size,
     parameter_census,
     register_model,
-    unregister_model,
 )
 from .vgg import VGGLite
 
@@ -21,8 +21,8 @@ __all__ = [
     "MLP",
     "VGGLite",
     "create_model",
+    "MODELS",
     "register_model",
-    "unregister_model",
     "input_spatial_size",
     "parameter_census",
 ]

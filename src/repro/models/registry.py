@@ -7,9 +7,10 @@ from the identical ``theta_0`` the algorithms require.
 
 The pairing is extensible: a dataset registered through
 :func:`repro.data.registry.register_dataset` gets a model in one of two
-ways — either it registers its own builder with :func:`register_model`, or
-it falls back to a shape-generic MLP over the flattened input (so a
-third-party scenario runs end-to-end with zero model code).
+ways — either it registers its own builder in :data:`MODELS` with
+:func:`register_model`, or it falls back to a shape-generic MLP over the
+flattened input (so a third-party scenario runs end-to-end with zero model
+code).
 """
 
 from __future__ import annotations
@@ -18,49 +19,37 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..data.synthetic import SPECS
+from ..data.registry import DATASETS
+from ..registry import Registry
 from .base import ConvNet
 from .cnn import CNN5
 from .lenet import LeNet5
 from .mlp import MLP
 
-#: dataset name -> builder(num_classes, in_channels, rng).  The paper's
+#: Dataset name -> builder(num_classes, in_channels, rng).  The paper's
 #: architectures are input-size-specific (their FC dimensions assume 28x28
 #: and 32x32 inputs), hence the per-dataset pairing.
-_BUILDERS: Dict[str, Callable[..., ConvNet]] = {
-    "mnist": lambda num_classes, in_channels, rng: CNN5(num_classes, in_channels, rng),
-    "emnist": lambda num_classes, in_channels, rng: CNN5(num_classes, in_channels, rng),
-    "cifar10": lambda num_classes, in_channels, rng: LeNet5(num_classes, in_channels, rng),
-    "cifar100": lambda num_classes, in_channels, rng: LeNet5(num_classes, in_channels, rng),
-}
+MODELS = Registry("model")
 
 
 def register_model(dataset: str) -> Callable:
     """Decorator pairing a model builder with a registered dataset.
 
     The builder receives ``(num_classes, in_channels, rng)`` and must
-    return a :class:`~repro.models.base.ConvNet`:
+    return a :class:`~repro.models.base.ConvNet`; ``MODELS.unregister``
+    removes the pairing again:
 
     >>> @register_model("my-data")
     ... def build(num_classes, in_channels, rng):
     ...     return CNN5(num_classes, in_channels, rng)
     """
-
-    def decorator(builder: Callable[..., ConvNet]) -> Callable[..., ConvNet]:
-        if dataset in _BUILDERS:
-            raise ValueError(f"a model is already registered for {dataset!r}")
-        _BUILDERS[dataset] = builder
-        return builder
-
-    return decorator
+    return lambda builder: MODELS.add(dataset, builder)
 
 
-def unregister_model(dataset: str) -> Callable[..., ConvNet]:
-    """Remove one pairing (plugin teardown / test isolation); returns it."""
-    try:
-        return _BUILDERS.pop(dataset)
-    except KeyError:
-        raise KeyError(f"no model is registered for {dataset!r}") from None
+for _dataset, _model in (
+    ("mnist", CNN5), ("emnist", CNN5), ("cifar10", LeNet5), ("cifar100", LeNet5)
+):
+    MODELS.add(_dataset, _model)
 
 
 def create_model(dataset: str, seed: int = 0, num_classes: Optional[int] = None) -> ConvNet:
@@ -70,10 +59,10 @@ def create_model(dataset: str, seed: int = 0, num_classes: Optional[int] = None)
     fall back to an MLP over the flattened input — shape-agnostic, so any
     registered dataset trains out of the box.
     """
-    spec = SPECS[dataset]
+    spec = DATASETS[dataset].spec
     classes = num_classes if num_classes is not None else spec.num_classes
     rng = np.random.default_rng(seed)
-    builder = _BUILDERS.get(dataset)
+    builder = MODELS.get(dataset)
     if builder is None:
         in_features = int(np.prod(spec.shape))
         return MLP(in_features, classes, hidden=(64,), rng=rng)
@@ -82,7 +71,7 @@ def create_model(dataset: str, seed: int = 0, num_classes: Optional[int] = None)
 
 def input_spatial_size(dataset: str) -> int:
     """Side length of the dataset's square images."""
-    return SPECS[dataset].shape[1]
+    return DATASETS[dataset].spec.shape[1]
 
 
 def parameter_census(model: ConvNet) -> Dict[str, int]:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..data.registry import available_datasets, register_dataset
+from ..data.registry import DATASETS, register_dataset
 from ..data.synthetic import DatasetSpec, _synthetic_loader
 from ..federated.builder import FederationConfig
 from ..federated.compression import IdentityCompressor, unpack_state
@@ -35,7 +35,7 @@ MICRO_DATASET = "wire-micro"
 
 def ensure_micro_dataset() -> str:
     """Register the load test's tiny dataset family (idempotent)."""
-    if MICRO_DATASET not in available_datasets():
+    if MICRO_DATASET not in DATASETS:
         register_dataset(
             DatasetSpec(MICRO_DATASET, (1, 8, 8), 2, signal=2.0, noise=1.0,
                         max_shift=0),

@@ -20,7 +20,7 @@ from urllib.parse import parse_qs, urlparse
 from ..federated.builder import FederationConfig
 from ..federated.federation import Federation
 from ..federated.metrics import History
-from ..federated.registry import get_trainer
+from ..federated.registry import TRAINERS
 from ..federated.trainers.subfedavg import SubFedAvgTrainer
 from ..utils.serialization import history_to_dict
 from .hub import HubClosed, WireBackend, WireHub
@@ -75,7 +75,7 @@ class FederationServer:
         time_scale: float = 0.0,
         callbacks: Optional[Iterable] = None,
     ) -> None:
-        if issubclass(get_trainer(config.algorithm).cls, SubFedAvgTrainer):
+        if issubclass(TRAINERS[config.algorithm].cls, SubFedAvgTrainer):
             raise ValueError(
                 f"cannot serve {config.algorithm!r}: wire clients build their "
                 "clients without a PruningController, so Sub-FedAvg rounds "

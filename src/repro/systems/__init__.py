@@ -9,14 +9,14 @@ into a first-class, *simulated-time* axis for every experiment:
   tie-breaking and a drained-event trace, so one seed reproduces one
   timeline bit-for-bit;
 * :mod:`~repro.systems.fleet` — :class:`DeviceProfile` hardware classes
-  and the :func:`register_fleet` registry (``tiers``/``uniform``/
+  and the :data:`FLEETS` registry (``tiers``/``uniform``/
   ``profile-list``): the single owner of the
   client→device assignment, shared by the simulator and the
   availability sampler;
 * :mod:`~repro.systems.timeline` — download→compute→upload timelines for
   a whole cohort, priced as arrays from each client's *actual* bytes
   (Sub-FedAvg mask sizes, compressed updates) and conv FLOPs;
-* :mod:`~repro.systems.rounds` — the :func:`register_round_policy`
+* :mod:`~repro.systems.rounds` — the :data:`ROUND_POLICIES`
   registry (``synchronous``/``deadline``/``async-buffer``) and the
   :class:`FleetSimulator` engine, the one thing that prices a round:
   plan a round at its start (busy clients, deliveries with staleness
@@ -63,15 +63,11 @@ from .fleet import (
     RASPBERRY_PI,
     WORKSTATION,
     DeviceProfile,
+    FLEETS,
     Fleet,
-    FleetSpec,
-    available_fleets,
     build_fleet,
-    fleet_specs,
-    get_fleet,
     register_fleet,
     resolve_profiles,
-    unregister_fleet,
 )
 from .timeline import (
     ClientTimeline,
@@ -89,14 +85,11 @@ from .rounds import (
     PolicyDecision,
     RoundOutcome,
     RoundPlan,
+    ROUND_POLICIES,
     RoundPolicy,
-    RoundPolicySpec,
     SynchronousPolicy,
-    available_round_policies,
     build_round_policy,
-    get_round_policy,
     register_round_policy,
-    round_policy_specs,
 )
 from .config import SystemsConfig
 from .callback import FleetSimCallback
@@ -122,12 +115,8 @@ __all__ = [
     "RASPBERRY_PI",
     "WORKSTATION",
     "Fleet",
-    "FleetSpec",
+    "FLEETS",
     "register_fleet",
-    "unregister_fleet",
-    "get_fleet",
-    "available_fleets",
-    "fleet_specs",
     "build_fleet",
     "resolve_profiles",
     "ClientTimeline",
@@ -135,7 +124,7 @@ __all__ = [
     "TrafficMap",
     "build_round_timelines",
     "RoundPolicy",
-    "RoundPolicySpec",
+    "ROUND_POLICIES",
     "SynchronousPolicy",
     "DeadlinePolicy",
     "AsyncBufferPolicy",
@@ -147,9 +136,6 @@ __all__ = [
     "FleetSimReport",
     "FleetSimulator",
     "register_round_policy",
-    "get_round_policy",
-    "available_round_policies",
-    "round_policy_specs",
     "build_round_policy",
     "SystemsConfig",
     "FleetSimCallback",

@@ -72,10 +72,6 @@ class SimClock:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def peek(self) -> Optional[Event]:
-        """The next event without popping it (None when the queue is empty)."""
-        return self._heap[0] if self._heap else None
-
     def pop(self) -> Event:
         """Pop the next event and advance ``now`` to its time."""
         if not self._heap:

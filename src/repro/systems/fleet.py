@@ -4,8 +4,8 @@ A :class:`Fleet` is the single owner of the client→device assignment:
 the fleet simulator prices rounds with it and the
 :class:`~repro.federated.sampler.AvailabilitySampler` derives per-device
 participation from it.  Fleet *shapes* are a registry
-(:func:`register_fleet`) selected through the ``scenario`` section of a
-run config:
+(:data:`FLEETS`, filled with :func:`register_fleet`) selected through
+the ``scenario`` section of a run config:
 
 * ``tiers`` — heterogeneous device classes assigned round-robin (the
   historical rule, byte-compatible with the old modulo map),
@@ -21,11 +21,11 @@ and re-exported from :mod:`repro.federated`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._doc import first_doc_line
+from ..registry import Registry
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,6 @@ class Fleet:
             return self.assignments[client_id]
         return self.cycle[client_id % len(self.cycle)]
 
-    def profiles_for(self, client_ids: Sequence[int]) -> Tuple[DeviceProfile, ...]:
-        return tuple(self.profile_for(client_id) for client_id in client_ids)
-
     # ------------------------------------------------------------------
     # Vectorized access (the million-client hot path)
     # ------------------------------------------------------------------
@@ -176,68 +173,18 @@ class Fleet:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FleetSpec:
-    """One registry entry: the factory plus its description.
-
-    ``factory(num_clients, scenario)`` must return a :class:`Fleet`;
-    ``scenario`` is a :class:`~repro.federated.scenario.ScenarioConfig`
-    (duck-typed here — the factory reads ``profiles`` and
-    ``client_profiles``).
-    """
-
-    name: str
-    factory: Callable[..., Fleet]
-    summary: str = ""
-
-
-_REGISTRY: Dict[str, FleetSpec] = {}
-
-
-def register_fleet(name: str, *, summary: str = "") -> Callable:
-    """Decorator adding a fleet factory to the registry under ``name``."""
-
-    def decorator(factory: Callable) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"fleet {name!r} is already registered")
-        doc = summary or first_doc_line(factory)
-        _REGISTRY[name] = FleetSpec(name=name, factory=factory, summary=doc)
-        return factory
-
-    return decorator
-
-
-def get_fleet(name: str) -> FleetSpec:
-    """Look up one registered fleet shape; unknown names raise ``KeyError``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fleet {name!r}; choose from {available_fleets()}"
-        ) from None
-
-
-def available_fleets() -> Tuple[str, ...]:
-    """Registered fleet names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def fleet_specs() -> Tuple[FleetSpec, ...]:
-    """All fleet registry entries, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def unregister_fleet(name: str) -> FleetSpec:
-    """Remove one entry (plugin teardown / test isolation); returns it."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise KeyError(f"fleet {name!r} is not registered") from None
+#: Registered fleet shapes, ``name -> Plugin`` whose
+#: ``factory(num_clients, scenario)`` returns a :class:`Fleet`;
+#: ``scenario`` is a :class:`~repro.federated.scenario.ScenarioConfig`
+#: (duck-typed here — the factory reads ``profiles`` and
+#: ``client_profiles``).
+FLEETS = Registry("fleet")
+register_fleet = FLEETS.register
 
 
 def build_fleet(scenario, num_clients: int) -> Fleet:
     """Instantiate the scenario's configured fleet shape via the registry."""
-    return get_fleet(scenario.fleet).factory(num_clients, scenario)
+    return FLEETS[scenario.fleet].factory(num_clients, scenario)
 
 
 @register_fleet(

@@ -13,7 +13,7 @@ closes and which client uploads it aggregates:
   across round boundaries and deliver later with staleness-discounted
   weights.
 
-Policies are a registry (:func:`register_round_policy`) selected through
+Policies are a registry (:data:`ROUND_POLICIES`) selected through
 the ``systems`` section of a
 :class:`~repro.federated.builder.FederationConfig`.
 
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._doc import first_doc_line
+from ..registry import Registry
 from .clock import SimClock
 from .events import UPLOAD_DONE, Event
 from .fleet import Fleet
@@ -368,54 +368,15 @@ class AsyncBufferPolicy(RoundPolicy):
 # ----------------------------------------------------------------------
 # Policy registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RoundPolicySpec:
-    """One registry entry: ``factory(systems_config) -> RoundPolicy``."""
-
-    name: str
-    factory: Callable[..., RoundPolicy]
-    summary: str = ""
-
-
-_REGISTRY: Dict[str, RoundPolicySpec] = {}
-
-
-def register_round_policy(name: str, *, summary: str = "") -> Callable:
-    """Decorator adding a round-policy factory to the registry."""
-
-    def decorator(factory: Callable) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"round policy {name!r} is already registered")
-        doc = summary or first_doc_line(factory)
-        _REGISTRY[name] = RoundPolicySpec(name=name, factory=factory, summary=doc)
-        return factory
-
-    return decorator
-
-
-def get_round_policy(name: str) -> RoundPolicySpec:
-    """Look up one registered policy; unknown names raise ``KeyError``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown round policy {name!r}; choose from {available_round_policies()}"
-        ) from None
-
-
-def available_round_policies() -> Tuple[str, ...]:
-    """Registered round-policy names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def round_policy_specs() -> Tuple[RoundPolicySpec, ...]:
-    """All round-policy registry entries, in registration order."""
-    return tuple(_REGISTRY.values())
+#: Registered round policies, ``name -> Plugin`` whose
+#: ``factory(systems_config)`` returns a :class:`RoundPolicy`.
+ROUND_POLICIES = Registry("round policy")
+register_round_policy = ROUND_POLICIES.register
 
 
 def build_round_policy(systems) -> RoundPolicy:
     """Instantiate the configured policy from a ``SystemsConfig``."""
-    return get_round_policy(systems.round_policy).factory(systems)
+    return ROUND_POLICIES[systems.round_policy].factory(systems)
 
 
 @register_round_policy(

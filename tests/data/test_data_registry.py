@@ -4,45 +4,38 @@ import numpy as np
 import pytest
 
 from repro.data import (
+    DATASETS,
+    PARTITIONERS,
     ArrayDataset,
-    SPECS,
     DataConfig,
-    available_datasets,
-    available_partitioners,
     build_client_data,
-    dataset_entries,
-    get_dataset,
-    get_partitioner,
     load_dataset,
-    partitioner_specs,
     register_dataset,
     register_partitioner,
-    unregister_dataset,
-    unregister_partitioner,
 )
 from repro.data.synthetic import DatasetSpec
 
 
 class TestDatasetRegistry:
     def test_builtins_registered_in_order(self):
-        assert available_datasets()[:4] == ("mnist", "emnist", "cifar10", "cifar100")
+        assert tuple(DATASETS)[:4] == ("mnist", "emnist", "cifar10", "cifar100")
 
     def test_specs_is_live_view(self):
-        """SPECS reflects registrations made after it was imported."""
+        """DATASETS reflects registrations made after it was imported."""
         spec = DatasetSpec("live-view", (1, 6, 6), 2, signal=1.0, noise=1.0, max_shift=0)
-        assert "live-view" not in SPECS
+        assert "live-view" not in DATASETS
         register_dataset(spec)(lambda s, n_train, n_test, seed: None)
         try:
-            assert "live-view" in SPECS
-            assert SPECS["live-view"].num_classes == 2
-            assert "live-view" in tuple(SPECS)
+            assert "live-view" in DATASETS
+            assert DATASETS["live-view"].spec.num_classes == 2
+            assert "live-view" in tuple(DATASETS)
         finally:
-            unregister_dataset("live-view")
-        assert "live-view" not in SPECS
+            DATASETS.unregister("live-view")
+        assert "live-view" not in DATASETS
 
     def test_get_unknown_raises_with_choices(self):
         with pytest.raises(KeyError, match="unknown dataset"):
-            get_dataset("imagenet")
+            DATASETS["imagenet"]
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -51,7 +44,7 @@ class TestDatasetRegistry:
             )(lambda *a: None)
 
     def test_entries_carry_summaries(self):
-        assert all(entry.summary for entry in dataset_entries())
+        assert all(entry.summary for entry in DATASETS.values())
 
     def test_registered_loader_is_dispatched(self):
         spec = DatasetSpec("four-blobs", (1, 4, 4), 4, signal=1.0, noise=1.0, max_shift=0)
@@ -72,25 +65,25 @@ class TestDatasetRegistry:
             assert len(train) == 40 and len(test) == 12
             assert set(np.unique(train.labels)) == set(range(4))
         finally:
-            unregister_dataset("four-blobs")
+            DATASETS.unregister("four-blobs")
 
 
 class TestPartitionerRegistry:
     def test_builtins_registered(self):
-        names = available_partitioners()
+        names = tuple(PARTITIONERS)
         for expected in ("shard", "dirichlet", "iid", "quantity-skew", "label-k"):
             assert expected in names
 
     def test_get_unknown_raises_with_choices(self):
         with pytest.raises(KeyError, match="unknown partition strategy"):
-            get_partitioner("bogus")
+            PARTITIONERS["bogus"]
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_partitioner("shard")(lambda labels, num_clients, rng=None: [])
 
     def test_params_map_to_config_fields(self):
-        spec = get_partitioner("dirichlet")
+        spec = PARTITIONERS["dirichlet"]
         kwargs = spec.kwargs_from(DataConfig(dirichlet_alpha=0.25, min_size=3))
         assert kwargs == {"alpha": 0.25, "min_size": 3, "max_attempts": 100}
 
@@ -103,13 +96,13 @@ class TestPartitionerRegistry:
             return [np.asarray(c) for c in np.array_split(order, num_clients)]
 
         try:
-            spec = get_partitioner("halves")
+            spec = PARTITIONERS["halves"]
             assert spec.kwargs_from(DataConfig()) == {}
         finally:
-            unregister_partitioner("halves")
+            PARTITIONERS.unregister("halves")
 
     def test_summaries_populated(self):
-        assert all(spec.summary for spec in partitioner_specs())
+        assert all(spec.summary for spec in PARTITIONERS.values())
 
 
 class TestThirdPartyScenario:
@@ -167,8 +160,8 @@ class TestThirdPartyScenario:
             restored = FederationConfig.from_json(config.to_json())
             assert restored == config
         finally:
-            unregister_dataset("two-bands")
-            unregister_partitioner("alternating")
+            DATASETS.unregister("two-bands")
+            PARTITIONERS.unregister("alternating")
 
     def test_custom_partitioner_drives_build_client_data(self):
         @register_partitioner("round-robin", summary="deal indices in turn")
@@ -189,4 +182,4 @@ class TestThirdPartyScenario:
                 len(c.train) + len(c.val) == 30 for c in clients
             )
         finally:
-            unregister_partitioner("round-robin")
+            PARTITIONERS.unregister("round-robin")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.data import SPECS, class_templates, generate_split, load_dataset
+from repro.data import DATASETS, class_templates, generate_split, load_dataset
 from repro.data.synthetic import DatasetSpec
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -33,7 +33,7 @@ ODD_SHAPES = [(1, 8, 8), (1, 12, 12), (2, 7, 9), (1, 6, 6), (1, 5, 5), (1, 4, 4)
 
 class TestSpecs:
     def test_all_families_present(self):
-        assert set(SPECS) == {"mnist", "emnist", "cifar10", "cifar100"}
+        assert set(DATASETS) == {"mnist", "emnist", "cifar10", "cifar100"}
 
     @pytest.mark.parametrize(
         "name,shape,classes",
@@ -45,34 +45,37 @@ class TestSpecs:
         ],
     )
     def test_shapes_and_classes(self, name, shape, classes):
-        spec = SPECS[name]
+        spec = DATASETS[name].spec
         assert spec.shape == shape
         assert spec.num_classes == classes
 
     def test_difficulty_ordering(self):
         """Signal-to-noise should decrease from MNIST to CIFAR-100."""
-        snr = {name: spec.signal / spec.noise for name, spec in SPECS.items()}
+        snr = {
+            name: entry.spec.signal / entry.spec.noise
+            for name, entry in DATASETS.items()
+        }
         assert snr["mnist"] >= snr["cifar10"] >= snr["cifar100"]
 
 
 class TestTemplates:
     def test_deterministic(self):
-        a = class_templates(SPECS["mnist"], seed=5)
-        b = class_templates(SPECS["mnist"], seed=5)
+        a = class_templates(DATASETS["mnist"].spec, seed=5)
+        b = class_templates(DATASETS["mnist"].spec, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_templates(self):
-        a = class_templates(SPECS["mnist"], seed=5)
-        b = class_templates(SPECS["mnist"], seed=6)
+        a = class_templates(DATASETS["mnist"].spec, seed=5)
+        b = class_templates(DATASETS["mnist"].spec, seed=6)
         assert not np.allclose(a, b)
 
     def test_unit_rms(self):
-        templates = class_templates(SPECS["cifar10"], seed=0)
+        templates = class_templates(DATASETS["cifar10"].spec, seed=0)
         rms = np.sqrt((templates ** 2).mean(axis=(1, 2, 3)))
         np.testing.assert_allclose(rms, 1.0, atol=1e-10)
 
     def test_classes_distinct(self):
-        templates = class_templates(SPECS["mnist"], seed=0)
+        templates = class_templates(DATASETS["mnist"].spec, seed=0)
         flattened = templates.reshape(len(templates), -1)
         gram = flattened @ flattened.T
         norm = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
@@ -99,7 +102,7 @@ class TestBlurMatchesScipy:
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     @pytest.mark.parametrize("name", ["mnist", "emnist", "cifar10", "cifar100"])
     def test_builtin_specs(self, name, seed):
-        spec = SPECS[name]
+        spec = DATASETS[name].spec
         assert np.array_equal(class_templates(spec, seed), _scipy_templates(spec, seed))
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -137,12 +140,12 @@ def test_runtime_imports_no_scipy():
 
 class TestGeneration:
     def test_balanced_labels(self):
-        dataset = generate_split(SPECS["mnist"], 100, seed=0, split="train")
+        dataset = generate_split(DATASETS["mnist"].spec, 100, seed=0, split="train")
         _, counts = np.unique(dataset.labels, return_counts=True)
         assert counts.min() == counts.max() == 10
 
     def test_remainder_distributed(self):
-        dataset = generate_split(SPECS["mnist"], 103, seed=0, split="train")
+        dataset = generate_split(DATASETS["mnist"].spec, 103, seed=0, split="train")
         _, counts = np.unique(dataset.labels, return_counts=True)
         assert counts.sum() == 103
         assert counts.max() - counts.min() <= 1
@@ -157,7 +160,7 @@ class TestGeneration:
         np.testing.assert_array_equal(a.images, b.images)
 
     def test_standardized(self):
-        dataset = generate_split(SPECS["cifar10"], 200, seed=0, split="train")
+        dataset = generate_split(DATASETS["cifar10"].spec, 200, seed=0, split="train")
         assert abs(dataset.images.mean()) < 1e-6
         assert abs(dataset.images.std() - 1.0) < 1e-6
 
@@ -167,14 +170,14 @@ class TestGeneration:
 
     def test_nonpositive_count_raises(self):
         with pytest.raises(ValueError):
-            generate_split(SPECS["mnist"], 0, seed=0, split="train")
+            generate_split(DATASETS["mnist"].spec, 0, seed=0, split="train")
 
 
 class TestLearnability:
     """The phenomena the paper needs: classes are separable from few shots."""
 
     def test_nearest_template_beats_chance(self):
-        spec = SPECS["mnist"]
+        spec = DATASETS["mnist"].spec
         templates = class_templates(spec, seed=0).reshape(spec.num_classes, -1)
         dataset = generate_split(spec, 200, seed=0, split="test")
         flat = dataset.images.reshape(len(dataset), -1)
@@ -186,7 +189,7 @@ class TestLearnability:
     def test_cifar100_is_harder_than_mnist(self):
         accuracies = {}
         for name in ("mnist", "cifar100"):
-            spec = SPECS[name]
+            spec = DATASETS[name].spec
             templates = class_templates(spec, seed=0).reshape(spec.num_classes, -1)
             dataset = generate_split(spec, 300, seed=0, split="test")
             flat = dataset.images.reshape(len(dataset), -1)

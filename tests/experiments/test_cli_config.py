@@ -6,11 +6,56 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.federated import (
+    TRAINERS,
     DataConfig,
     FederationConfig,
     LocalTrainConfig,
-    available_algorithms,
 )
+
+#: ``repro list`` output before it printed the codecs: its six registry
+#: sections and the presets must keep printing byte for byte.
+LIST_SIX_SECTIONS = """\
+algorithms:
+  fedavg             Classic dense averaging weighted by client example counts.
+  fedprox            FedAvg plus a proximal term μ/2·‖w − w_g‖² in the local objective.
+  fedavg-ft          FedAvg personalized by a post-hoc local fine-tune (two-step recipe).
+  lg-fedavg          Personal representation layers, federated classifier head.
+  mtl                Mean-regularized multi-task learning (simplified MOCHA).
+  standalone         Purely local training, no communication (the Remark-2 baseline).
+  sub-fedavg-un      Algorithm 1: Sub-FedAvg with unstructured pruning only. (config: unstructured)
+  sub-fedavg-hy      Algorithm 2: hybrid — structured on convs, unstructured on FC layers. (config: unstructured, structured)
+  fedavg-compressed  FedAvg whose uplink carries compressed *updates* instead of states. (config: compression)
+  robust-fedavg      FedAvg with dropout, fault injection and a robust aggregator.
+datasets:
+  mnist              1x28x28, 10 classes — synthetic class-conditional images
+  emnist             1x28x28, 26 classes — synthetic class-conditional images
+  cifar10            3x32x32, 10 classes — synthetic class-conditional images
+  cifar100           3x32x32, 100 classes — synthetic class-conditional images
+partitioners:
+  shard              label-sorted shards, s random shards per client (paper §4.1) (config: shard_size, shards_per_client)
+  dirichlet          Dirichlet(alpha) label skew (Hsu et al. 2019) (config: dirichlet_alpha, max_attempts, min_size)
+  iid                uniform random equal split (IID control)
+  quantity-skew      IID labels, Dirichlet(alpha) over client dataset sizes (config: min_size, quantity_alpha)
+  label-k            each client sees exactly k labels (config: labels_per_client)
+samplers:
+  uniform            uniform k = max(1, K*N) draw (paper protocol)
+  fixed              pinned client subset every round
+  availability       per-client participation probabilities + per-round dropout
+fleets:
+  tiers              heterogeneous device classes assigned round-robin (client_id mod classes, the historical rule)
+  uniform            every client is the same device class
+  profile-list       explicit per-client device-class names
+round-policies:
+  synchronous        wait for every participant (paper protocol)
+  deadline           close after T seconds; late uploads become 0-weight
+  async-buffer       FedBuff-style: first K arrivals, staleness-discounted weights
+"""
+LIST_PRESETS = """\
+presets:
+  smoke              8 clients, 4 rounds, C=0.5, 480/240 train/test examples
+  small              20 clients, 15 rounds, C=0.3, 2000/600 train/test examples
+  paper              100 clients, 500 rounds, C=0.1, 50000/10000 train/test examples
+"""
 
 
 def tiny_config_json():
@@ -27,6 +72,17 @@ def tiny_config_json():
 
 
 class TestListCommand:
+    def test_output_golden(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(LIST_SIX_SECTIONS)
+        assert out.endswith(LIST_PRESETS)
+        added = out[len(LIST_SIX_SECTIONS):-len(LIST_PRESETS)].splitlines()
+        assert added[:1] == ["compressors:"]
+        assert [line.split()[0] for line in added[1:]] == [
+            "identity", "topk", "randommask", "quantize",
+        ]
+
     def test_lists_registries(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -40,7 +96,7 @@ class TestListCommand:
 
     def test_choices_come_from_registry(self):
         parser = build_parser()
-        for algorithm in available_algorithms():
+        for algorithm in TRAINERS:
             args = parser.parse_args(["run", "--algorithm", algorithm])
             assert args.algorithm == algorithm
 

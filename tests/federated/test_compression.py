@@ -21,10 +21,9 @@ from repro.federated.accounting import FLOAT_BITS
 from repro.federated.builder import model_factory
 from repro.federated import compression
 from repro.federated.compression import (
+    COMPRESSORS,
     CompressionConfig,
-    CompressorSpec,
     EncodedState,
-    available_compressors,
     build_compressor,
     decode_state,
     pack_payload,
@@ -32,8 +31,8 @@ from repro.federated.compression import (
     register_compressor,
     unpack_payload,
     unpack_state,
-    unregister_compressor,
 )
+from repro.registry import Plugin
 
 
 def sample_update(rng, sizes=((10, 4), (7,))):
@@ -219,7 +218,7 @@ class TestQuantization:
 
 class TestRegistry:
     def test_builtin_codecs_registered(self):
-        assert set(available_compressors()) >= {
+        assert set(COMPRESSORS) >= {
             "identity", "topk", "randommask", "quantize",
         }
 
@@ -250,7 +249,7 @@ class TestRegistry:
             for key in expected:
                 np.testing.assert_array_equal(decoded[key], expected[key])
 
-    @pytest.mark.parametrize("name", available_compressors())
+    @pytest.mark.parametrize("name", tuple(COMPRESSORS))
     def test_decode_state_equals_codec_decode(self, rng, name, monkeypatch):
         codec = build_compressor(name)
         encoded = codec.encode(sample_update(rng))
@@ -278,13 +277,13 @@ class TestRegistry:
             return IdentityCompressor()
 
         try:
-            assert "test-null" in available_compressors()
+            assert "test-null" in COMPRESSORS
             with pytest.raises(ValueError):
                 register_compressor("test-null")(_build)
         finally:
-            spec = unregister_compressor("test-null")
-        assert isinstance(spec, CompressorSpec)
-        assert "test-null" not in available_compressors()
+            spec = COMPRESSORS.unregister("test-null")
+        assert isinstance(spec, Plugin)
+        assert "test-null" not in COMPRESSORS
 
     def test_decoding_foreign_codec_payload_raises(self, rng):
         encoded = TopKCompressor(0.5).encode(sample_update(rng))

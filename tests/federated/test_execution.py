@@ -22,7 +22,6 @@ from repro.federated import (
     ProcessBackend,
     QuantizationCompressor,
     SerialBackend,
-    SpawnProcessBackend,
     ThreadBackend,
     WorkerPool,
     available_backends,
@@ -79,9 +78,7 @@ def assert_histories_identical(reference, other, context=""):
 
 class TestBackendResolution:
     def test_available_backends(self):
-        assert set(available_backends()) == {
-            "serial", "thread", "process", "process-spawn",
-        }
+        assert set(available_backends()) == {"serial", "thread", "process"}
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
@@ -405,20 +402,36 @@ def _square(value):
 class TestSpawnBackend:
     """The spawn-safe process path: same histories, no fork dependency."""
 
-    def test_registered_and_resolvable(self):
-        backend = resolve_backend("process-spawn", workers=2)
-        assert isinstance(backend, SpawnProcessBackend)
-        assert backend.start_method == "spawn"
+    def test_removed_name_raises(self, tmp_path):
+        """The deleted ``process-spawn`` name is refused by name everywhere
+        a backend is chosen: directly, in a config, in a stored config and
+        on the command line."""
+        from repro.cli import main
+
+        removed = "process-spawn backend was removed"
+        with pytest.raises(ValueError, match=removed):
+            resolve_backend("process-spawn", workers=2)
+        with pytest.raises(ValueError, match=removed):
+            small_config("fedavg", "process-spawn")
+        stored = small_config("fedavg", "process").to_dict()
+        stored["backend"] = "process-spawn"
+        with pytest.raises(ValueError, match=removed):
+            FederationConfig.from_dict(stored)
+        with pytest.raises(ValueError, match=removed):
+            main(["run", "--backend", "process-spawn",
+                  "--export-config", str(tmp_path / "run.json")])
+        assert not (tmp_path / "run.json").exists()
 
     def test_explicit_start_method_plumbs_through(self):
         assert ProcessBackend(workers=1, start_method="spawn").start_method == "spawn"
 
     def test_spawn_history_identical_to_serial(self):
         reference, _ = run_federation("fedavg", "serial", rounds=1)
-        candidate, cand_fed = run_federation("fedavg", "process-spawn", rounds=1)
-        assert_histories_identical(reference, candidate, "fedavg/process-spawn")
-        backend = cand_fed.trainer.backend
-        assert backend.start_method == "spawn"
+        backend = ProcessBackend(workers=2, start_method="spawn")
+        candidate = Federation.from_config(
+            small_config("fedavg", "serial", rounds=1), backend=backend
+        ).run()
+        assert_histories_identical(reference, candidate, "fedavg/spawn")
         assert backend.pool._pool is not None  # persistent: still warm
         backend.close()
 

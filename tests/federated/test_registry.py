@@ -9,12 +9,10 @@ from repro.federated import (
     LocalTrainConfig,
     SubFedAvgHy,
     SubFedAvgUn,
-    available_algorithms,
+    TRAINERS,
     build_trainer,
-    get_trainer,
     make_clients,
     register_trainer,
-    unregister_trainer,
 )
 from repro.federated.trainers.base import FederatedTrainer
 
@@ -32,52 +30,47 @@ CORE = (
 
 class TestLookup:
     def test_core_algorithms_registered(self):
-        names = available_algorithms()
+        names = tuple(TRAINERS)
         for name in CORE:
             assert name in names
 
-    def test_get_trainer_returns_spec(self):
-        spec = get_trainer("fedavg")
+    def test_lookup_returns_spec(self):
+        spec = TRAINERS["fedavg"]
         assert spec.name == "fedavg"
         assert spec.cls is FedAvg
         assert spec.config_sections == ()
         assert spec.summary  # first docstring line
 
     def test_config_sections_declared(self):
-        assert get_trainer("sub-fedavg-un").config_sections == ("unstructured",)
-        assert get_trainer("sub-fedavg-hy").config_sections == (
+        assert TRAINERS["sub-fedavg-un"].config_sections == ("unstructured",)
+        assert TRAINERS["sub-fedavg-hy"].config_sections == (
             "unstructured",
             "structured",
         )
 
     def test_local_defaults_declared(self):
-        assert get_trainer("fedprox").local_defaults == {"prox_mu": 0.01}
-        assert get_trainer("mtl").local_defaults == {"mtl_lambda": 0.1}
+        assert TRAINERS["fedprox"].local_defaults == {"prox_mu": 0.01}
+        assert TRAINERS["mtl"].local_defaults == {"mtl_lambda": 0.1}
 
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(KeyError, match="bogus.*choose from"):
-            get_trainer("bogus")
-
-    def test_algorithms_view_matches_registry(self):
-        from repro.federated import ALGORITHMS
-        from repro.federated import builder
-
-        assert tuple(ALGORITHMS) == available_algorithms()
-        assert builder.ALGORITHMS == available_algorithms()
+            TRAINERS["bogus"]
 
     def test_algorithms_view_is_live(self):
-        import repro.federated as federated
+        """A trainer registered after import is selectable at once."""
+        from repro.cli import build_parser
 
         @register_trainer("live-algo")
         class LiveAlgo(FedAvg):
             pass
 
         try:
-            assert "live-algo" in federated.ALGORITHMS
-            assert "live-algo" in federated.builder.ALGORITHMS
+            assert TRAINERS["live-algo"].cls is LiveAlgo
+            args = build_parser().parse_args(["run", "--algorithm", "live-algo"])
+            assert args.algorithm == "live-algo"
         finally:
-            unregister_trainer("live-algo")
-        assert "live-algo" not in federated.ALGORITHMS
+            TRAINERS.unregister("live-algo")
+        assert "live-algo" not in TRAINERS
 
 
 class TestRegistration:
@@ -94,7 +87,7 @@ class TestRegistration:
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(KeyError, match="not registered"):
-            unregister_trainer("never-registered")
+            TRAINERS.unregister("never-registered")
 
     def test_custom_trainer_builds_through_config(self):
         @register_trainer("unit-test-algo", local_defaults={"prox_mu": 0.5})
@@ -114,14 +107,14 @@ class TestRegistration:
             # declared local_defaults patched non-positive fields
             assert all(client.config.prox_mu == 0.5 for client in clients)
         finally:
-            unregister_trainer("unit-test-algo")
+            TRAINERS.unregister("unit-test-algo")
 
     def test_unregistered_name_invalid_in_config(self):
         @register_trainer("transient-algo")
         class Transient(FedAvg):
             pass
 
-        unregister_trainer("transient-algo")
+        TRAINERS.unregister("transient-algo")
         with pytest.raises(KeyError):
             FederationConfig(dataset="mnist", algorithm="transient-algo")
 

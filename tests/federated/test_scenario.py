@@ -11,31 +11,28 @@ from repro.federated import (
     FederationConfig,
     FixedSampler,
     LocalTrainConfig,
+    SAMPLERS,
     ScenarioConfig,
-    available_samplers,
     build_sampler,
-    get_sampler,
     register_sampler,
-    sampler_specs,
-    unregister_sampler,
 )
 from repro.systems import EDGE_PHONE, RASPBERRY_PI, Fleet
 
 
 class TestSamplerRegistry:
     def test_builtins_registered(self):
-        assert available_samplers()[:3] == ("uniform", "fixed", "availability")
+        assert tuple(SAMPLERS)[:3] == ("uniform", "fixed", "availability")
 
     def test_get_unknown_raises_with_choices(self):
         with pytest.raises(KeyError, match="unknown sampler"):
-            get_sampler("bogus")
+            SAMPLERS["bogus"]
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_sampler("uniform")(lambda *a: None)
 
     def test_summaries_populated(self):
-        assert all(spec.summary for spec in sampler_specs())
+        assert all(spec.summary for spec in SAMPLERS.values())
 
     def test_uniform_factory_matches_paper_protocol(self):
         built = build_sampler(ScenarioConfig(), 50, 0.2, seed=3)
@@ -71,7 +68,7 @@ class TestSamplerRegistry:
             for record in history.rounds:
                 assert record.sampled_clients == [0]
         finally:
-            unregister_sampler("first-client")
+            SAMPLERS.unregister("first-client")
 
 
 class TestScenarioConfig:

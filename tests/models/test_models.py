@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import SPECS
+from repro.data import DATASETS
 from repro.federated.evaluation import EVAL_CHUNK
 from repro.models import CNN5, LeNet5, MLP, create_model, parameter_census
 from repro.models.registry import input_spatial_size
@@ -91,9 +91,9 @@ class TestRegistry:
 
     def test_registered_dataset_without_builder_falls_back_to_mlp(self):
         """Third-party datasets train out of the box on a flattened MLP."""
-        from repro.data.registry import register_dataset, unregister_dataset
+        from repro.data.registry import DATASETS, register_dataset
         from repro.data.synthetic import DatasetSpec
-        from repro.models import register_model, unregister_model
+        from repro.models import MODELS, register_model
 
         spec = DatasetSpec("odd-shape", (2, 7, 9), 5, signal=1.0, noise=1.0, max_shift=0)
         register_dataset(spec)(lambda s, n_train, n_test, seed: None)
@@ -109,12 +109,12 @@ class TestRegistry:
             registered = create_model("odd-shape", seed=0)
             assert isinstance(registered, MLP)
             # Teardown restores the fallback path.
-            assert unregister_model("odd-shape") is build
+            assert MODELS.unregister("odd-shape") is build
             assert isinstance(create_model("odd-shape", seed=0), MLP)
         finally:
-            unregister_dataset("odd-shape")
-        with pytest.raises(KeyError, match="no model is registered"):
-            unregister_model("odd-shape")
+            DATASETS.unregister("odd-shape")
+        with pytest.raises(KeyError, match="model 'odd-shape' is not registered"):
+            MODELS.unregister("odd-shape")
 
     def test_input_spatial_size(self):
         assert input_spatial_size("mnist") == 28
@@ -196,7 +196,7 @@ class TestRowInvariantInference:
         model = create_model(dataset, seed=1)
         for name, buffer in model.named_buffers():
             buffer[...] = rng.uniform(0.5, 1.5, size=buffer.shape)
-        images = rng.normal(size=(4 * EVAL_CHUNK,) + SPECS[dataset].shape)
+        images = rng.normal(size=(4 * EVAL_CHUNK,) + DATASETS[dataset].spec.shape)
         model.eval()
         with no_grad():
             full = model(Tensor(images)).data

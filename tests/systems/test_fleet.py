@@ -8,14 +8,12 @@ from repro.systems import (
     EDGE_PHONE,
     RASPBERRY_PI,
     WORKSTATION,
+    FLEETS,
     DeviceProfile,
     Fleet,
-    available_fleets,
     build_fleet,
     build_round_timelines,
-    get_fleet,
     register_fleet,
-    unregister_fleet,
 )
 
 
@@ -61,11 +59,7 @@ class TestFleet:
 
 class TestRegistry:
     def test_builtin_shapes_registered(self):
-        assert set(available_fleets()) >= {"tiers", "uniform", "profile-list"}
-
-    def test_unknown_fleet_raises_with_choices(self):
-        with pytest.raises(KeyError, match="tiers"):
-            get_fleet("armada")
+        assert set(FLEETS) >= {"tiers", "uniform", "profile-list"}
 
     def test_register_and_unregister_roundtrip(self):
         @register_fleet("test-everyone-pi", summary="all raspberry-pi")
@@ -78,20 +72,8 @@ class TestRegistry:
             )
             assert fleet.profile_for(3) is RASPBERRY_PI
         finally:
-            unregister_fleet("test-everyone-pi")
-        assert "test-everyone-pi" not in available_fleets()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_fleet("tiers")(lambda n, s: Fleet())
-
-    def test_factory_without_docstring_has_empty_summary(self):
-        register_fleet("test-nodoc")(lambda n, s: Fleet())
-        try:
-            assert get_fleet("test-nodoc").summary == ""
-        finally:
-            unregister_fleet("test-nodoc")
-        assert "test-nodoc" not in available_fleets()
+            FLEETS.unregister("test-everyone-pi")
+        assert "test-everyone-pi" not in FLEETS
 
 
 class TestScenarioWiring:

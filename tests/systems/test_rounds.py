@@ -16,14 +16,12 @@ from repro.systems import (
     SynchronousPolicy,
     SystemsConfig,
     UPLOAD_DONE,
+    ROUND_POLICIES,
     build_round_policy,
-    available_round_policies,
     build_round_timelines,
     compare_simulated_time_to_accuracy,
-    get_round_policy,
     register_round_policy,
 )
-from repro.systems import rounds
 
 TWO_TIER = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
 
@@ -84,10 +82,10 @@ class TestRegistry:
     def test_factory_without_docstring_has_empty_summary(self):
         register_round_policy("test-nodoc")(lambda systems: SynchronousPolicy())
         try:
-            assert get_round_policy("test-nodoc").summary == ""
+            assert ROUND_POLICIES["test-nodoc"].summary == ""
         finally:
-            rounds._REGISTRY.pop("test-nodoc")  # no public unregister
-        assert "test-nodoc" not in available_round_policies()
+            ROUND_POLICIES.unregister("test-nodoc")
+        assert "test-nodoc" not in ROUND_POLICIES
 
 
 class TestSynchronousPricing:
