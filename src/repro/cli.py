@@ -59,7 +59,6 @@ from .experiments import (
     fig3_spec,
     fleet_spec,
     gate_spec,
-    get_preset,
     fig2_series,
     fig3_series,
     format_table1,
@@ -90,9 +89,8 @@ from .federated import (
     ProgressLogger,
     ScenarioConfig,
     SystemsConfig,
-    available_backends,
 )
-from .federated.execution import REMOVED_BACKENDS
+from .federated.execution import BACKENDS, REMOVED_BACKENDS
 from .utils.serialization import save_history
 
 
@@ -171,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--backend",
         # Removed names pass the parser so the config refuses them by name.
-        choices=available_backends() + tuple(REMOVED_BACKENDS),
-        metavar="{" + ",".join(available_backends()) + "}",
+        choices=tuple(BACKENDS) + tuple(REMOVED_BACKENDS),
+        metavar="{" + ",".join(BACKENDS) + "}",
         default=None,
         help="client-execution backend (default: the config's, i.e. serial)",
     )
@@ -389,7 +387,7 @@ def _resolve_run_config(args) -> FederationConfig:
         config = FederationConfig.from_json(Path(args.config).read_text())
     else:
         config = federation_config(
-            args.dataset, args.algorithm, get_preset(args.preset), seed=args.seed
+            args.dataset, args.algorithm, PRESETS[args.preset], seed=args.seed
         )
     overrides = {}
     if getattr(args, "backend", None) is not None:

@@ -20,6 +20,7 @@ from typing import Any, Dict
 
 from ..data.registry import PARTITIONERS
 from ..federated.scenario import SAMPLERS, ScenarioConfig
+from ..registry import Registry
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,10 @@ class ScalePreset:
     eval_every: int = 0
 
 
-PRESETS: Dict[str, ScalePreset] = {
-    "smoke": ScalePreset(
+#: The scales, ``name -> ScalePreset``.
+PRESETS = Registry("preset")
+for _preset in (
+    ScalePreset(
         name="smoke",
         num_clients=8,
         rounds=4,
@@ -46,7 +49,7 @@ PRESETS: Dict[str, ScalePreset] = {
         n_test=240,
         local_epochs=3,
     ),
-    "small": ScalePreset(
+    ScalePreset(
         name="small",
         num_clients=20,
         rounds=15,
@@ -55,7 +58,7 @@ PRESETS: Dict[str, ScalePreset] = {
         n_test=600,
         local_epochs=5,
     ),
-    "paper": ScalePreset(
+    ScalePreset(
         name="paper",
         num_clients=100,
         rounds=500,
@@ -64,13 +67,9 @@ PRESETS: Dict[str, ScalePreset] = {
         n_test=10000,
         local_epochs=5,
     ),
-}
-
-
-def get_preset(name: str) -> ScalePreset:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name]
+):
+    PRESETS.add(_preset.name, _preset)
+del _preset
 
 
 def partition_override(partition: str, **params) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ from typing import Optional
 from ..data import DataConfig
 from ..federated import Federation, FederationConfig, History, LocalTrainConfig
 from ..pruning import StructuredConfig, UnstructuredConfig
-from .presets import ScalePreset, get_preset
+from .presets import PRESETS, ScalePreset
 
 
 def federation_config(
@@ -78,7 +78,7 @@ def run_algorithm(
     config = federation_config(
         dataset,
         algorithm,
-        get_preset(preset),
+        PRESETS[preset],
         seed=seed,
         unstructured=unstructured,
         structured=structured,

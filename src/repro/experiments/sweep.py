@@ -41,18 +41,14 @@ from ..federated import Federation, FederationConfig
 from ..federated.execution import WorkerPool, default_worker_count
 from ..federated.metrics import History
 from ..pruning import StructuredConfig, UnstructuredConfig
+from ..registry import Registry
 from ..utils.serialization import history_from_dict, history_to_dict
-from .presets import get_preset
+from .presets import PRESETS
 from .runner import federation_config
 
 #: Result-store schema version, bumped on layout changes so stale caches
 #: are recomputed rather than misread.
 SCHEMA_VERSION = 1
-
-#: Executor names accepted by :class:`SweepRunner` (mirrors the
-#: round-level backend names in ``repro.federated.execution``).
-SWEEP_EXECUTORS = ("serial", "thread", "process")
-
 
 # ----------------------------------------------------------------------
 # Grid description
@@ -143,7 +139,7 @@ class SweepSpec:
 
     def expand(self) -> List[SweepCell]:
         """Materialize the grid as a list of fully-configured cells."""
-        preset = get_preset(self.preset)
+        preset = PRESETS[self.preset]
         cells: List[SweepCell] = []
         axes = itertools.product(
             self.datasets, map(_as_variant, self.algorithms), self.overrides, self.seeds
@@ -332,6 +328,30 @@ def _collect_extras(trainer) -> Dict[str, Any]:
     return extras
 
 
+def _map_serial(runner: "SweepRunner", payloads: List[Dict]) -> List[Dict]:
+    return [_execute_payload(payload) for payload in payloads]
+
+
+def _map_thread(runner: "SweepRunner", payloads: List[Dict]) -> List[Dict]:
+    with ThreadPoolExecutor(max_workers=runner.jobs) as pool:
+        return list(pool.map(_execute_payload, payloads))
+
+
+def _map_process(runner: "SweepRunner", payloads: List[Dict]) -> List[Dict]:
+    if runner.pool is not None:
+        return runner.pool.map(_execute_payload, payloads)
+    with WorkerPool(workers=min(runner.jobs, len(payloads))) as pool:
+        return pool.map(_execute_payload, payloads)
+
+
+#: How :class:`SweepRunner` maps cells to results, by executor name
+#: (mirrors the round-level backend names in ``repro.federated.execution``).
+SWEEP_EXECUTORS = Registry("sweep executor")
+SWEEP_EXECUTORS.add("serial", _map_serial)
+SWEEP_EXECUTORS.add("thread", _map_thread)
+SWEEP_EXECUTORS.add("process", _map_process)
+
+
 @dataclass
 class SweepResult:
     """Everything a sweep produced, in cell order."""
@@ -395,11 +415,7 @@ class SweepRunner:
         resume: bool = True,
         pool: Optional[WorkerPool] = None,
     ) -> None:
-        if executor not in SWEEP_EXECUTORS:
-            raise KeyError(
-                f"unknown sweep executor {executor!r}; "
-                f"choose from {sorted(SWEEP_EXECUTORS)}"
-            )
+        SWEEP_EXECUTORS[executor]  # raises KeyError for unknown executors
         self.cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
         self.store = store if store is not None else ResultStore()
         self.jobs = default_worker_count(jobs)
@@ -477,15 +493,9 @@ class SweepRunner:
     def _map(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         if not payloads:
             return []
-        if self.executor == "serial" or len(payloads) == 1 or self.jobs == 1:
-            return [_execute_payload(payload) for payload in payloads]
-        if self.executor == "thread":
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(_execute_payload, payloads))
-        if self.pool is not None:
-            return self.pool.map(_execute_payload, payloads)
-        with WorkerPool(workers=min(self.jobs, len(payloads))) as pool:
-            return pool.map(_execute_payload, payloads)
+        if len(payloads) == 1 or self.jobs == 1:
+            return _map_serial(self, payloads)
+        return SWEEP_EXECUTORS[self.executor](self, payloads)
 
 
 def run_sweep(

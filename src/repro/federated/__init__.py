@@ -39,6 +39,7 @@ from .callbacks import (
     ProgressLogger,
 )
 from .execution import (
+    BACKENDS,
     WIRE_VERSION,
     ClientTask,
     ClientUpdate,
@@ -47,7 +48,6 @@ from .execution import (
     SerialBackend,
     ThreadBackend,
     WorkerPool,
-    available_backends,
     resolve_backend,
     resolve_start_method,
     run_client_task,
@@ -138,9 +138,9 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "BACKENDS",
     "WorkerPool",
     "WIRE_VERSION",
-    "available_backends",
     "resolve_backend",
     "resolve_start_method",
     "run_client_task",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Mapping, Sequence
 
 from ..data import DataConfig, build_client_data, load_dataset
 from ..data.registry import DATASETS, PARTITIONERS
@@ -378,17 +378,29 @@ def make_clients(config: FederationConfig) -> ClientPool:
         config=config.data,
         seed=config.seed,
     )
+    return ClientPool(
+        bundles,
+        model_factory(config),
+        local_config(config),
+        seed=config.seed,
+        capacity=config.client_cache,
+    )
+
+
+def local_config(config: FederationConfig) -> LocalTrainConfig:
+    """``config.local`` with the algorithm's ``local_defaults`` patched in.
+
+    A field left at a non-positive placeholder takes the registered
+    default (how FedProx gets a ``prox_mu``).  Every client of a
+    config-built population trains with exactly this config, so the
+    trainer checks its requirements against it once instead of reading
+    any client.
+    """
     local = config.local
     for name, default in TRAINERS[config.algorithm].local_defaults.items():
         if getattr(local, name) <= 0:
             local = replace(local, **{name: default})
-    return ClientPool(
-        bundles,
-        model_factory(config),
-        local,
-        seed=config.seed,
-        capacity=config.client_cache,
-    )
+    return local
 
 
 @dataclass(frozen=True)
@@ -453,12 +465,15 @@ def build_fleet_simulator(
 
 
 def build_trainer(
-    config: FederationConfig, clients: List[FederatedClient], **overrides
+    config: FederationConfig, clients: Sequence[FederatedClient], **overrides
 ) -> FederatedTrainer:
     """Wire the configured algorithm's trainer over prepared clients.
 
-    The trainer class and the config sections it consumes come from the
-    registry; the participation model comes from the scenario registry;
+    ``clients`` only needs a length when the backend executes remotely
+    (the serving layer's population holds no replicas).  The trainer
+    class and the config sections it consumes come from the registry,
+    and its ``local`` config from :func:`local_config`; the participation
+    model comes from the scenario registry;
     a ``systems`` section additionally attaches a
     :class:`~repro.systems.rounds.FleetSimulator`; ``overrides`` are extra
     keyword arguments forwarded verbatim to the trainer constructor
@@ -498,6 +513,7 @@ def build_trainer(
         workers=config.workers,
         sampler=sampler,
         fleet_sim=fleet_sim,
+        local=local_config(config),
     )
     for section in spec.config_sections:
         value = getattr(config, section)

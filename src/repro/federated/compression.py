@@ -30,6 +30,7 @@ deliberately *not* ``8 * len(payload)``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -75,24 +76,20 @@ def pack_payload(meta: Dict, arrays: Dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def _read_header(blob: bytes) -> Tuple[Dict, int]:
-    """A payload's parsed header and the offset of its first array."""
+def unpack_payload(blob: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays."""
     if blob[:4] != _MAGIC:
         raise ValueError(
             f"not a codec payload (magic {blob[:4]!r}, expected {_MAGIC!r})"
         )
     (head_len,) = struct.unpack("<I", blob[4:8])
-    return json.loads(blob[8 : 8 + head_len].decode()), 8 + head_len
-
-
-def unpack_payload(blob: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays."""
-    header, offset = _read_header(blob)
+    offset = 8 + head_len
+    header = json.loads(blob[8:offset].decode())
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
         dtype = np.dtype(spec["dtype"])
         shape = tuple(spec["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         arrays[spec["name"]] = array.reshape(shape).copy()
         offset += dtype.itemsize * count
@@ -143,7 +140,10 @@ class Compressor:
 
     def decode(self, encoded: Union[EncodedState, bytes]) -> State:
         blob = encoded.payload if isinstance(encoded, EncodedState) else bytes(encoded)
-        meta, arrays = unpack_payload(blob)
+        return self._decode_unpacked(*unpack_payload(blob))
+
+    def _decode_unpacked(self, meta: Dict, arrays: Dict[str, np.ndarray]) -> State:
+        """:meth:`decode` of an already unpacked payload."""
         codec = meta.get("codec")
         if codec != self.name:
             raise ValueError(
@@ -264,8 +264,7 @@ def _scatter_decode(
     decoded: State = {}
     for name, shape in shapes.items():
         shape = tuple(shape)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        flat = np.zeros(size, dtype=np.float64)
+        flat = np.zeros(math.prod(shape), dtype=np.float64)
         flat[arrays[f"{name}/idx"]] = arrays[f"{name}/val"]
         decoded[name] = flat.reshape(shape)
     return decoded
@@ -371,9 +370,9 @@ def build_compressor(
 def decode_state(encoded: Union[EncodedState, bytes]) -> State:
     """Decode any registered codec's payload by its self-describing header."""
     blob = encoded.payload if isinstance(encoded, EncodedState) else bytes(encoded)
-    meta = _read_header(blob)[0]["meta"]
+    meta, arrays = unpack_payload(blob)
     codec = build_compressor(CompressionConfig(codec=meta.get("codec", "identity")))
-    return codec.decode(blob)
+    return codec._decode_unpacked(meta, arrays)
 
 
 @register_compressor("identity", summary="lossless passthrough (32 modeled bits/value)")

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..pruning import MaskSet
+from ..registry import Registry
 
 State = Dict[str, Any]
 
@@ -228,11 +229,15 @@ def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def capture_sync(client) -> ClientSync:
-    """Snapshot everything a training task may have mutated on ``client``."""
+def capture_sync(client, model_state: State) -> ClientSync:
+    """Snapshot everything a training task may have mutated on ``client``.
+
+    ``model_state`` is a ``client.state_dict()`` taken after the task (the
+    update's own state), so a worker pickles the trained weights once.
+    """
     controller = client.controller
     return ClientSync(
-        model_state=client.state_dict(),
+        model_state=model_state,
         rng_state=client.rng_state(),
         controller_state=None if controller is None else controller.state_dict(),
     )
@@ -289,7 +294,9 @@ def _run_train(
         update.channel_sparsity = client.controller.channel_sparsity()
         update.accuracy = client.test_accuracy()
     if with_sync:
-        update.sync = capture_sync(client)
+        # One dict for both: apply_sync copies it into the parent's model,
+        # so sharing it with the aggregated state is safe.
+        update.sync = capture_sync(client, update.state)
     return update
 
 
@@ -568,12 +575,11 @@ class ProcessBackend(ExecutionBackend):
         )
 
 
-#: Registry of constructible backends, keyed by config/CLI name.
-BACKENDS = {
-    SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
-}
+#: Constructible backends, keyed by config/CLI name.
+BACKENDS = Registry("execution backend")
+for _backend in (SerialBackend, ThreadBackend, ProcessBackend):
+    BACKENDS.add(_backend.name, _backend)
+del _backend
 
 #: Deleted backend names a stored config or ``--backend`` may still carry,
 #: mapped to the removal to name.
@@ -581,11 +587,6 @@ REMOVED_BACKENDS = {
     "process-spawn": "the process-spawn backend was removed; use 'process', "
     "which starts its workers with spawn wherever fork is missing",
 }
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names accepted by ``FederationConfig.backend`` and ``--backend``."""
-    return tuple(BACKENDS)
 
 
 def backend_class(name: str) -> type:
@@ -598,12 +599,7 @@ def backend_class(name: str) -> type:
         raise ValueError(
             f"backend={name!r} is no longer available: {REMOVED_BACKENDS[name]}"
         )
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
+    return BACKENDS[name]
 
 
 def resolve_backend(

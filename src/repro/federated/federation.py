@@ -20,7 +20,7 @@ reconstructed exactly from a stored file::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..systems.callback import FleetSimCallback
 from .builder import FederationConfig, build_trainer, make_clients
@@ -35,24 +35,37 @@ class Federation:
     Construction is eager: clients and the trainer are built immediately,
     so the object can be inspected (``.clients``, ``.trainer``) before
     :meth:`run` is called, and checkpoints can be restored into it.
+    ``clients`` replaces the population :func:`make_clients` would build;
+    the serving layer passes one that holds no replicas, because its wire
+    clients own all client state.
     """
 
-    def __init__(self, config: FederationConfig, **trainer_overrides) -> None:
+    def __init__(
+        self,
+        config: FederationConfig,
+        clients: Optional[Sequence[FederatedClient]] = None,
+        **trainer_overrides,
+    ) -> None:
         self.config = config
-        self._clients = make_clients(config)
+        self._clients = make_clients(config) if clients is None else clients
         self._trainer = build_trainer(config, self._clients, **trainer_overrides)
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(cls, config: FederationConfig, **trainer_overrides) -> "Federation":
+    def from_config(
+        cls,
+        config: FederationConfig,
+        clients: Optional[Sequence[FederatedClient]] = None,
+        **trainer_overrides,
+    ) -> "Federation":
         """Build from a :class:`FederationConfig`.
 
         ``trainer_overrides`` are forwarded to the trainer constructor
         (e.g. ``aggregator="zerofill"``, ``track_trajectory=True``).
         """
-        return cls(config, **trainer_overrides)
+        return cls(config, clients, **trainer_overrides)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any], **trainer_overrides) -> "Federation":
@@ -87,7 +100,7 @@ class Federation:
         return self._trainer
 
     @property
-    def clients(self) -> List[FederatedClient]:
+    def clients(self) -> Sequence[FederatedClient]:
         return self._clients
 
     @property

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ...models.base import ConvNet
 from ..callbacks import CallbackList
-from ..client import FederatedClient
+from ..client import FederatedClient, LocalTrainConfig
 from ..execution import (
     ClientTask,
     ClientUpdate,
@@ -64,9 +64,13 @@ class FederatedTrainer:
     #: aggregation silently kept them at full weight.
     supports_round_plan = False
 
+    #: ``LocalTrainConfig`` fields this algorithm's local objective needs
+    #: positive (FedProx's ``prox_mu``, FedMTL's ``mtl_lambda``).
+    required_local: Tuple[str, ...] = ()
+
     def __init__(
         self,
-        clients: List[FederatedClient],
+        clients: Sequence[FederatedClient],
         model_fn: Callable[[], ConvNet],
         rounds: int,
         sample_fraction: float = 0.1,
@@ -76,11 +80,13 @@ class FederatedTrainer:
         workers: int = 0,
         sampler: Optional[ClientSampler] = None,
         fleet_sim=None,
+        local: Optional[LocalTrainConfig] = None,
     ) -> None:
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         if not clients:
             raise ValueError("need at least one client")
+        self._check_local(clients, local)
         self.clients = clients
         self.model_fn = model_fn
         self.rounds = rounds
@@ -106,6 +112,33 @@ class FederatedTrainer:
         bind = getattr(self.backend, "bind_trainer", None)
         if bind is not None:
             bind(self)
+
+    def _check_local(
+        self,
+        clients: Sequence[FederatedClient],
+        local: Optional[LocalTrainConfig],
+    ) -> None:
+        """Refuse a population whose local config misses :attr:`required_local`.
+
+        ``local`` is the config every client trains with (the builder's
+        :func:`~repro.federated.builder.local_config`); without it — a
+        hand-built population — each client's own config is checked.
+        """
+        if not self.required_local:
+            return
+        configs = (
+            [("the local config", local)]
+            if local is not None
+            else [(f"client {client.client_id}", client.config) for client in clients]
+        )
+        for name in self.required_local:
+            for owner, config in configs:
+                value = getattr(config, name)
+                if value <= 0:
+                    raise ValueError(
+                        f"{type(self).__name__} requires clients configured "
+                        f"with {name} > 0 ({owner} has {value})"
+                    )
 
     # ------------------------------------------------------------------
     # Task execution

@@ -143,15 +143,9 @@ class FedProx(FedAvg):
     """
 
     algorithm_name = "fedprox"
+    required_local = ("prox_mu",)
 
     def _train_tasks(self, sampled: List[int]) -> List[ClientTask]:
-        for index in sampled:
-            client = self.clients[index]
-            if client.config.prox_mu <= 0:
-                raise ValueError(
-                    "FedProx requires clients configured with prox_mu > 0 "
-                    f"(client {client.client_id} has {client.config.prox_mu})"
-                )
         return [
             ClientTask(
                 client_index=index,

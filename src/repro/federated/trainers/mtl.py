@@ -28,15 +28,9 @@ class FedMTL(FederatedTrainer):
     """Mean-regularized multi-task learning (simplified MOCHA)."""
 
     algorithm_name = "mtl"
+    required_local = ("mtl_lambda",)
 
     def _round(self, round_index: int, sampled: List[int]) -> RoundRecord:
-        for index in sampled:
-            client = self.clients[index]
-            if client.config.mtl_lambda <= 0:
-                raise ValueError(
-                    "FedMTL requires clients configured with mtl_lambda > 0 "
-                    f"(client {client.client_id} has {client.config.mtl_lambda})"
-                )
         # Clients keep their personal model (no download); the broadcast w̄
         # only enters through the mean-regularizer anchor.
         updates = self.execute(

@@ -30,10 +30,11 @@ class MaskSet:
     # Mapping protocol
     # ------------------------------------------------------------------
     def __setitem__(self, name: str, mask: np.ndarray) -> None:
-        array = np.asarray(mask)
-        if not np.isin(array, (0, 1)).all():
+        array = np.array(mask, dtype=np.float64)
+        # Elementwise, so NaN (equal to neither) is refused too.
+        if not ((array == 0.0) | (array == 1.0)).all():
             raise ValueError(f"mask {name!r} contains values other than 0/1")
-        self._masks[name] = array.astype(np.float64)
+        self._masks[name] = array
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._masks[name]
@@ -64,7 +65,10 @@ class MaskSet:
         return self._masks.get(name, default)
 
     def copy(self) -> "MaskSet":
-        return MaskSet({name: mask.copy() for name, mask in self._masks.items()})
+        # Entries were validated on the way in: copy them without a recheck.
+        clone = MaskSet()
+        clone._masks = {name: mask.copy() for name, mask in self._masks.items()}
+        return clone
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -3,7 +3,9 @@
 Each swappable part of a run — the algorithm, the dataset, the partition
 strategy, the participation sampler, the fleet shape, the round policy,
 the update codec and the dataset's model — is one :class:`Registry`
-instance, keyed by the name a config or CLI flag selects it with.  The
+instance, keyed by the name a config or CLI flag selects it with.  So is
+each fixed name table: the execution backends, the scale presets, the
+sweep executors and the device profiles.  The
 instance is a read-only mapping in registration order, so ``name in
 SAMPLERS``, ``SAMPLERS[name]`` and ``tuple(SAMPLERS)`` are the whole
 lookup API.

@@ -1,12 +1,18 @@
 """:class:`FederationServer`: the round loop behind an HTTP endpoint.
 
 The server owns three things: a :class:`~repro.serving.hub.WireHub` task
-board, a trainer thread running the completely ordinary
-``Federation.from_config(config, backend=WireBackend(hub)).run()``, and a
-``ThreadingHTTPServer`` exposing the hub to wire clients (see
-:mod:`~repro.serving.protocol` for the endpoint table).  Because the
+board, a trainer thread running the stock round loop
+``Federation.from_config(config, RemoteClients(n), backend=WireBackend(hub))
+.run()``, and a ``ThreadingHTTPServer`` exposing the hub to wire clients
+(see :mod:`~repro.serving.protocol` for the endpoint table).  Because the
 trainer loop is the stock one, everything config-driven — samplers, fleet
 simulation, round policies, callbacks — works unchanged over the wire.
+
+The server holds no client population: :class:`RemoteClients` has only a
+length, so the server never synthesizes the dataset or builds a replica.
+Client data and models live on the wire clients, and a server-side read
+of a client (a checkpoint, a post-hoc state fallback) raises instead of
+reading a model that never trained.
 """
 
 from __future__ import annotations
@@ -48,6 +54,29 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
             return
         super().handle_error(request, client_address)
+
+
+class RemoteClients:
+    """The server's view of a wire-served population: its size, nothing else.
+
+    Indexing (and so iterating) raises ``RuntimeError``: each client's
+    data and model live on the wire client that serves its index.
+    """
+
+    def __init__(self, num_clients: int) -> None:
+        self.num_clients = num_clients
+
+    def __len__(self) -> int:
+        return self.num_clients
+
+    def __getitem__(self, index):
+        raise RuntimeError(
+            f"client {index} has no server-side replica: its state lives on "
+            "the wire clients"
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RemoteClients({self.num_clients})"
 
 
 class FederationServer:
@@ -106,7 +135,9 @@ class FederationServer:
         """Bind the port, start the HTTP loop and the trainer thread."""
         if self._httpd is not None:
             raise RuntimeError("server already started")
-        federation = Federation.from_config(self.config, backend=self.backend)
+        federation = Federation.from_config(
+            self.config, RemoteClients(self.config.num_clients), backend=self.backend
+        )
         handler = _make_handler(self)
         self._httpd = _QuietThreadingHTTPServer(
             (self.host, self._requested_port), handler

@@ -67,19 +67,14 @@ WORKSTATION = DeviceProfile(
 
 #: Built-in profiles by name — how serialized configs reference a device
 #: class (``ScenarioConfig(profiles=("edge-phone", "raspberry-pi"))``).
-DEVICE_PROFILES: Dict[str, DeviceProfile] = {
-    profile.name: profile for profile in (EDGE_PHONE, RASPBERRY_PI, WORKSTATION)
-}
+DEVICE_PROFILES = Registry("device profile")
+for _profile in (EDGE_PHONE, RASPBERRY_PI, WORKSTATION):
+    DEVICE_PROFILES.add(_profile.name, _profile)
+del _profile
 
 
 def resolve_profiles(names: Sequence[str]) -> Tuple[DeviceProfile, ...]:
     """Turn device-class names into profiles; unknown names raise ``KeyError``."""
-    unknown = [name for name in names if name not in DEVICE_PROFILES]
-    if unknown:
-        raise KeyError(
-            f"unknown device profile(s) {unknown}; "
-            f"choose from {sorted(DEVICE_PROFILES)}"
-        )
     return tuple(DEVICE_PROFILES[name] for name in names)
 
 

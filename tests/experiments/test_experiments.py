@@ -12,7 +12,6 @@ from repro.experiments import (
     format_table,
     format_table1,
     format_table2,
-    get_preset,
     rounds_to_target,
     run_convergence,
     run_sparsity_sweep,
@@ -29,14 +28,14 @@ class TestPresets:
         assert {"smoke", "small", "paper"} <= set(PRESETS)
 
     def test_paper_preset_matches_protocol(self):
-        preset = get_preset("paper")
+        preset = PRESETS["paper"]
         assert preset.num_clients == 100
         assert preset.sample_fraction == 0.1
         assert preset.local_epochs == 5
 
     def test_unknown_preset_raises(self):
         with pytest.raises(KeyError):
-            get_preset("huge")
+            PRESETS["huge"]
 
 
 class TestTable2:

@@ -13,7 +13,6 @@ from repro.experiments import (
     SweepSpec,
     Variant,
     federation_config,
-    get_preset,
     run_algorithm,
     run_sweep,
     smoke_spec,
@@ -81,7 +80,7 @@ class TestSpecExpansion:
     def test_cells_carry_full_configs(self):
         spec = SweepSpec(name="grid", datasets=("mnist",), algorithms=("fedavg",))
         (cell,) = spec.expand()
-        preset = get_preset("smoke")
+        preset = PRESETS["smoke"]
         assert cell.config.dataset == "mnist"
         assert cell.config.algorithm == "fedavg"
         assert cell.config.num_clients == preset.num_clients
@@ -208,14 +207,14 @@ class TestOverrideCollision:
     def test_error_names_every_colliding_field(self):
         with pytest.raises(ValueError, match=r"\['data.n_train', 'rounds'\]"):
             federation_config(
-                "mnist", "fedavg", get_preset("smoke"), rounds=2, data={"n_train": 10}
+                "mnist", "fedavg", PRESETS["smoke"], rounds=2, data={"n_train": 10}
             )
 
     def test_non_derived_overrides_still_pass_through(self):
         config = federation_config(
             "mnist",
             "fedavg",
-            get_preset("smoke"),
+            PRESETS["smoke"],
             data={"partition": "dirichlet", "dirichlet_alpha": 0.3},
             backend="thread",
         )
@@ -231,7 +230,7 @@ class TestOverrideCollision:
             **partition_override("label-k", labels_per_client=3),
             **sampler_override("availability", dropout=0.25),
         }
-        config = federation_config("mnist", "fedavg", get_preset("smoke"), **overrides)
+        config = federation_config("mnist", "fedavg", PRESETS["smoke"], **overrides)
         assert config.data.partition == "label-k"
         assert config.data.labels_per_client == 3
         assert config.scenario.sampler == "availability"

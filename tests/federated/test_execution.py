@@ -24,9 +24,9 @@ from repro.federated import (
     SerialBackend,
     ThreadBackend,
     WorkerPool,
-    available_backends,
     resolve_backend,
 )
+from repro.federated import execution
 from repro.federated.execution import (
     WIRE_VERSION,
     ClientSync,
@@ -78,7 +78,7 @@ def assert_histories_identical(reference, other, context=""):
 
 class TestBackendResolution:
     def test_available_backends(self):
-        assert set(available_backends()) == {"serial", "thread", "process"}
+        assert tuple(execution.BACKENDS) == ("serial", "thread", "process")
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)

@@ -145,6 +145,25 @@ class TestBuilder:
         clients = make_clients(config)
         assert all(client.config.mtl_lambda > 0 for client in clients)
 
+    @pytest.mark.parametrize(
+        "algorithm, field", [("fedprox", "prox_mu"), ("mtl", "mtl_lambda")]
+    )
+    def test_zero_coefficient_population_refused(self, algorithm, field):
+        """A hand-built population whose clients lack the coefficient is
+        refused at construction, naming the client; so is a zero ``local``."""
+        from repro.federated import TRAINERS, model_factory
+
+        config = FederationConfig(dataset="mnist", algorithm="fedavg", **FAST)
+        clients = make_clients(config)  # fedavg leaves both coefficients at 0
+        cls = TRAINERS[algorithm].cls
+        with pytest.raises(
+            ValueError, match=rf"requires clients configured with {field} > 0 "
+            r"\(client 0 has 0.0\)"
+        ):
+            cls(clients, model_factory(config), rounds=1)
+        with pytest.raises(ValueError, match="the local config has 0.0"):
+            cls(clients, model_factory(config), rounds=1, local=config.local)
+
     def test_build_trainer_type_dispatch(self):
         from repro.federated import SubFedAvgHy
 

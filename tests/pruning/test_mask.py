@@ -26,6 +26,11 @@ class TestMaskSetBasics:
         with pytest.raises(ValueError, match="0/1"):
             MaskSet({"w": np.array([0.5, 1.0])})
 
+    @pytest.mark.parametrize("bad", [np.nan, 2, -1, np.inf])
+    def test_rejects_nan_and_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="0/1"):
+            MaskSet({"w": np.array([1.0, bad])})
+
     def test_counts(self):
         masks = MaskSet({"a": np.array([1, 0, 0, 1]), "b": np.ones(4)})
         assert masks.kept() == 6

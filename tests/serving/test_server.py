@@ -22,12 +22,22 @@ from repro.federated import (
     ScenarioConfig,
     SystemsConfig,
 )
+from repro.federated.registry import TRAINERS
+from repro.federated.trainers.subfedavg import SubFedAvgTrainer
 from repro.serving import FederationServer, ServerClient, attach_runners
 from repro.serving.client import WireClientRunner
+from repro.serving.loadtest import run_load_test
 from repro.serving.protocol import PROTOCOL_VERSION, STATUS_WAIT
 from repro.utils.serialization import history_to_dict
 
 SCENARIO = ScenarioConfig(profiles=("edge-phone", "raspberry-pi"))
+#: Every registered algorithm the server accepts, except plain FedAvg
+#: (the first gate below runs that one).
+SERVABLE = [
+    name
+    for name, spec in TRAINERS.items()
+    if name != "fedavg" and not issubclass(spec.cls, SubFedAvgTrainer)
+]
 PRICING = dict(flops_per_example=1e6, examples_per_round=100.0)
 
 
@@ -62,6 +72,13 @@ def serve_run(config, partitions, lease_seconds=30.0):
 class TestSynchronousEquivalence:
     def test_wire_run_bit_identical_to_in_process(self):
         config = tiny_config()
+        local = history_to_dict(Federation.from_config(config).run())
+        served = history_to_dict(serve_run(config, [(0, 1), (2, 3)]))
+        assert served == local
+
+    @pytest.mark.parametrize("algorithm", SERVABLE)
+    def test_every_servable_algorithm_bit_identical(self, algorithm):
+        config = tiny_config(algorithm=algorithm)
         local = history_to_dict(Federation.from_config(config).run())
         served = history_to_dict(serve_run(config, [(0, 1), (2, 3)]))
         assert served == local
@@ -152,6 +169,43 @@ class TestCrashSurfacesFailure:
                 runner.join(timeout=60.0)
         finally:
             server.stop()
+
+
+class TestServerHoldsNoPopulation:
+    def test_served_run_never_synthesizes_data(self, monkeypatch):
+        """The server builds no client data: echo clients (which build
+        none either) drive a whole run with the data builders disabled."""
+        import repro.federated.builder as builder
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the server built client data")
+
+        monkeypatch.setattr(builder, "load_dataset", refuse)
+        monkeypatch.setattr(builder, "build_client_data", refuse)
+        report = run_load_test(num_clients=4, rounds=2, poll_seconds=1.0,
+                               timeout=60.0)
+        assert report.failed_clients == 0
+        assert report.tasks_completed == 4 * 2 + 4  # train rounds + final eval
+        assert report.final_accuracy == 0.5
+
+    def test_indexing_the_population_names_the_client(self):
+        class Probe:
+            clients = None
+
+            def on_run_start(self, trainer):
+                self.clients = trainer.clients
+
+        probe = Probe()
+        with FederationServer(tiny_config(), callbacks=[probe]):
+            deadline = time.monotonic() + 30.0
+            while probe.clients is None:
+                assert time.monotonic() < deadline, "run never started"
+                time.sleep(0.01)
+        assert len(probe.clients) == 4
+        with pytest.raises(RuntimeError, match="client 2 has no server-side"):
+            probe.clients[2]
+        with pytest.raises(RuntimeError, match="client 0 has no server-side"):
+            list(probe.clients)
 
 
 class TestRefusesSubFedAvg:

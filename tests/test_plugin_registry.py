@@ -1,8 +1,10 @@
 """The contract every plugin registry keeps, checked once per kind.
 
-Each kind registers through its own public decorator, so the checks also
-cover the per-kind wrappers (``register_trainer``, ``register_dataset``,
-…) on top of :class:`repro.registry.Registry`.
+Each plugin kind registers through its own public decorator, so the
+checks also cover the per-kind wrappers (``register_trainer``,
+``register_dataset``, …) on top of :class:`repro.registry.Registry`.  The
+fixed name tables (backends, presets, sweep executors, device profiles)
+have no decorator and register with ``Registry.add``.
 """
 
 import re
@@ -16,13 +18,16 @@ from repro.data.registry import (
     register_partitioner,
 )
 from repro.data.synthetic import DatasetSpec
+from repro.experiments.presets import PRESETS
+from repro.experiments.sweep import SWEEP_EXECUTORS
 from repro.federated.compression import COMPRESSORS, register_compressor
+from repro.federated.execution import BACKENDS
 from repro.federated.registry import TRAINERS, register_trainer
 from repro.federated.scenario import SAMPLERS, register_sampler
 from repro.federated.trainers.fedavg import FedAvg
 from repro.models.registry import MODELS, register_model
 from repro.registry import Registry
-from repro.systems.fleet import FLEETS, register_fleet
+from repro.systems.fleet import DEVICE_PROFILES, FLEETS, register_fleet
 from repro.systems.rounds import ROUND_POLICIES, register_round_policy
 
 
@@ -60,6 +65,10 @@ KINDS = {
 #: Kinds whose entries carry a one-line ``summary`` (a model entry is the
 #: bare builder).
 SUMMARIZED = [kind for kind in KINDS if kind != "model"]
+
+#: The name tables carry no summary; any object stands in for an entry.
+for _table in (BACKENDS, PRESETS, SWEEP_EXECUTORS, DEVICE_PROFILES):
+    KINDS[_table.kind] = (_table, lambda name, table=_table: table.add(name, object()))
 
 
 @pytest.fixture(params=list(KINDS))
