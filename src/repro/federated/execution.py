@@ -229,17 +229,27 @@ def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def capture_sync(client, model_state: State) -> ClientSync:
+def capture_sync(
+    client, model_state: State, mask: Optional[MaskSet]
+) -> ClientSync:
     """Snapshot everything a training task may have mutated on ``client``.
 
-    ``model_state`` is a ``client.state_dict()`` taken after the task (the
-    update's own state), so a worker pickles the trained weights once.
+    ``model_state`` is a ``client.state_dict()`` taken after the task and
+    ``mask`` the update's committed mask, so a worker pickles each once:
+    without a structured branch the combined mask equals ``un_mask``, and
+    the snapshot carries the update's object in its place
+    (``PruningController.load_state_dict`` copies it on apply).
     """
     controller = client.controller
+    controller_state = None
+    if controller is not None:
+        controller_state = controller.state_dict()
+        if controller.st_cfg is None:
+            controller_state["un_mask"] = mask
     return ClientSync(
         model_state=model_state,
         rng_state=client.rng_state(),
-        controller_state=None if controller is None else controller.state_dict(),
+        controller_state=controller_state,
     )
 
 
@@ -294,9 +304,9 @@ def _run_train(
         update.channel_sparsity = client.controller.channel_sparsity()
         update.accuracy = client.test_accuracy()
     if with_sync:
-        # One dict for both: apply_sync copies it into the parent's model,
-        # so sharing it with the aggregated state is safe.
-        update.sync = capture_sync(client, update.state)
+        # One object each for state and mask: apply_sync copies both into
+        # the parent's client, so sharing them with the update is safe.
+        update.sync = capture_sync(client, update.state, update.mask)
     return update
 
 

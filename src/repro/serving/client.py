@@ -5,9 +5,11 @@
 :class:`WireClientRunner` rebuilds the *local* side of the federation from
 the server's published config (``make_clients`` — same seeds, same
 partitions, so client ``i`` here is bit-identical to client ``i`` of an
-in-process run), then long-polls for tasks, executes them through the
+in-process run), then leases tasks, executes them through the
 one-and-only :func:`~repro.federated.execution.run_client_task` code
-path, and streams codec-encoded updates back.
+path, and streams codec-encoded updates back.  A served task costs one
+HTTP round trip: each upload brings back the session's next lease, and
+``GET /v1/work`` long-polls only when no task is ready.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ class ServerClient:
     Transient transport errors (connection refused/reset mid-round, the
     server's accept backlog overflowing under a thundering herd) are
     retried with linear backoff; protocol errors raise immediately.
+
+    One request per served task: :meth:`post_result` names the session
+    and the batch whose weights :meth:`work` last handed out, the server
+    answers with the session's next lease when one is ready, and the
+    following :meth:`work` returns that lease without a request.  A held
+    lease omits those weights, so a caller keeps the weights it was
+    given (every runner here does).  ``lease_on_upload = False`` makes
+    uploads ask for nothing.
     """
 
     def __init__(
@@ -53,6 +63,9 @@ class ServerClient:
         self.backoff_seconds = backoff_seconds
         self.session: Optional[int] = None
         self.lease_seconds: float = 30.0
+        self.lease_on_upload = True
+        self._have_batch = 0  # batch of the weights work() last handed out
+        self._next: Optional[Dict[str, Any]] = None  # lease from an upload
 
     # ------------------------------------------------------------------
     # Transport
@@ -120,23 +133,40 @@ class ServerClient:
         self.lease_seconds = float(payload["lease_seconds"])
         return self.session
 
+    @property
+    def holds_lease(self) -> bool:
+        """The last upload brought back a lease :meth:`work` has not returned."""
+        return self._next is not None
+
     def work(self, wait_seconds: float = 5.0, have_batch: int = 0) -> Dict[str, Any]:
+        """The session's next lease: the one the last upload brought back
+        (no request), else a ``GET /v1/work`` long-poll."""
         if self.session is None:
             raise RuntimeError("register() before polling for work")
-        return self._request(
-            f"/v1/work?session={self.session}&wait={wait_seconds}"
-            f"&have_batch={have_batch}"
-        )
+        payload, self._next = self._next, None
+        if payload is None:
+            payload = self._request(
+                f"/v1/work?session={self.session}&wait={wait_seconds}"
+                f"&have_batch={have_batch}"
+            )
+        if "global" in payload:
+            self._have_batch = int(payload["batch_id"])
+        return payload
 
     def post_result(self, task_id: int, wire_update: Dict[str, Any]) -> bool:
+        """Upload one result; True when the server recorded it."""
+        path = "/v1/result"
+        if self.lease_on_upload and self.session is not None:
+            path += f"?session={self.session}&have_batch={self._have_batch}"
         payload = self._request(
-            "/v1/result",
+            path,
             {
                 "protocol": PROTOCOL_VERSION,
                 "task_id": task_id,
                 "update": wire_update,
             },
         )
+        self._next = payload.get("next")
         return bool(payload["accepted"])
 
     def fetch_history(self) -> Dict[str, Any]:
@@ -152,8 +182,11 @@ class WireClientRunner:
     The runner downloads the server's config, rebuilds the client
     population locally (lazy pool — only the served indices ever
     materialize), registers for ``client_indices`` (None = serve
-    anything), and then loops: poll → decode weights → train/evaluate →
-    encode → upload, until the server reports the run done.
+    anything), and then loops: lease → decode weights → train/evaluate →
+    encode → upload, until the server reports the run done.  Each upload
+    brings back the next lease when one is ready, so the runner
+    long-polls only when the board is empty.  After :meth:`stop` uploads
+    ask for no further lease; a lease already on its way is still served.
 
     Client state lives here across rounds, exactly as it lives in the
     trainer's client list in-process — which is why served indices must
@@ -190,7 +223,7 @@ class WireClientRunner:
         self.api.register(self.client_indices)
         have_batch = 0
         global_state = None
-        while not self._stop.is_set():
+        while not self._stop.is_set() or self.api.holds_lease:
             try:
                 response = self.api.work(
                     wait_seconds=self.poll_seconds, have_batch=have_batch
@@ -258,6 +291,7 @@ class WireClientRunner:
         return self.tasks_completed
 
     def stop(self) -> None:
+        self.api.lease_on_upload = False
         self._stop.set()
 
 

@@ -13,6 +13,11 @@ tasks and posting updates).  Dispatch rules:
   re-queued after ``lease_seconds`` and re-dispatched to whoever polls
   next; results are idempotent, so the original client's late upload is
   acknowledged and dropped.
+* **The upload is the next poll** — the server answers an accepted
+  ``POST /v1/result`` with a non-blocking :meth:`WireHub.take` for the
+  uploading session, so a session with queued work gets its next lease
+  on the upload reply; only an empty board sends it back to the
+  ``GET /v1/work`` long-poll.  A duplicate or late upload leases nothing.
 * **Restart cancellation** — submitting a *train* batch cancels any
   incomplete train task for the same clients (the fleet simulator's
   all-busy restart: stale work is discarded, not aggregated).
@@ -373,7 +378,8 @@ class WireHub:
     def take(
         self, session_id: int, wait_seconds: float = 0.0, have_batch: int = 0
     ) -> Dict[str, Any]:
-        """Long-poll for one task; the wire's ``GET /v1/work`` semantics.
+        """Long-poll for one task; the wire's ``GET /v1/work`` semantics
+        (and, with ``wait_seconds=0``, of the lease an upload brings back).
 
         Returns a ``{"status": ...}`` payload: a leased task (with the
         batch's global weights unless the session already holds
@@ -417,10 +423,22 @@ class WireHub:
                     return {"status": STATUS_WAIT}
                 self._cond.wait(remaining)
 
-    def complete(self, task_id: int, update: ClientUpdate) -> bool:
+    def complete(
+        self,
+        task_id: int,
+        update: ClientUpdate,
+        session_id: Optional[int] = None,
+    ) -> bool:
         """Record one task's result.  Idempotent: duplicates and results
-        for cancelled (or unknown) tasks return ``False`` and are dropped."""
+        for cancelled (or unknown) tasks return ``False`` and are dropped.
+
+        ``session_id`` names the uploading session when the upload also
+        asks for its next lease; an unknown session raises ``KeyError``
+        before anything is recorded.
+        """
         with self._cond:
+            if session_id is not None and session_id not in self._sessions:
+                raise KeyError(f"unknown session {session_id}")
             entry = self._entries.get(task_id)
             if entry is None or entry.status in (DONE, CANCELLED):
                 return False

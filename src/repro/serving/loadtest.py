@@ -9,6 +9,13 @@ Echoing is a *valid* update (aggregating identical states is the
 identity), so every server-side code path — codec decode, weighted
 averaging, round records, the final evaluation — runs for real.
 
+Each fake client is a session for one client index, whose next task
+is almost never queued yet when it uploads: nearly every task costs a
+``GET /v1/work`` long-poll plus the upload, so the load test exercises
+the long-poll path at thousands of sessions.  A session serving several
+indices (the wire runners, perfbench's load generator) gets its next
+lease on the upload reply instead.
+
 :func:`run_load_test` returns a :class:`LoadTestReport`; the benchmark
 suite dumps it as the ``BENCH_serving`` artifact.
 """
@@ -18,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..data.registry import DATASETS, register_dataset
 from ..data.synthetic import DatasetSpec, _synthetic_loader
@@ -64,53 +71,62 @@ def load_test_config(
     )
 
 
-class FakeWireClient:
-    """One protocol-complete client that echoes instead of training.
+def echo_state(global_b64: str) -> Dict[str, Any]:
+    """A published global state, re-encoded as an identity-codec upload."""
+    encoded = IdentityCompressor().encode(unpack_state(b64_decode(global_b64)))
+    return {
+        "codec": encoded.codec,
+        "bits": encoded.bits,
+        "blob": b64_encode(encoded.payload),
+    }
 
-    Per batch it decodes the published global weights once, re-encodes
-    them once with the identity codec, and answers every train task with
-    that cached blob (evaluate tasks get a fixed accuracy) — so the
-    server does full wire work while the client does almost none.
+
+def echo_update(task: Dict[str, Any], state_field) -> Dict[str, Any]:
+    """The wire update an echo client sends for a wire ``task``: the
+    batch's weights back (train) or a fixed 0.5 accuracy (evaluate)."""
+    train = task["kind"] == "train"
+    index = int(task["client_index"])
+    return {
+        "schema": WIRE_VERSION,
+        "client_index": index,
+        "client_id": index,
+        "num_examples": 1 if train else 0,
+        "mean_loss": 0.0,
+        "val_accuracy": None,
+        "pruned_unstructured": False,
+        "pruned_structured": False,
+        "accuracy": None if train else 0.5,
+        "sparsity": None,
+        "channel_sparsity": None,
+        "state": state_field if train else None,
+        "mask": None,
+    }
+
+
+class FakeWireClient:
+    """One protocol-complete session that echoes instead of training.
+
+    It registers for ``clients``; per batch it decodes the published
+    global weights once, re-encodes them once with the identity codec,
+    and answers every train task with that cached blob (evaluate tasks
+    get a fixed accuracy) — so the server does full wire work while the
+    client does almost none.  Like any :class:`ServerClient` user it
+    makes one request per task while the board has work for it (the
+    upload brings back the next lease) and long-polls otherwise.
     """
 
     def __init__(
-        self, base_url: str, client_index: int, poll_seconds: float = 10.0
+        self, base_url: str, clients: Sequence[int], poll_seconds: float = 10.0
     ) -> None:
         self.api = ServerClient(base_url, timeout=poll_seconds + 30.0)
-        self.client_index = client_index
+        self.clients = list(clients)
         self.poll_seconds = poll_seconds
         self.tasks_completed = 0
         self.error: Optional[BaseException] = None
 
-    def _state_field(self, global_b64: str) -> Dict[str, Any]:
-        state = unpack_state(b64_decode(global_b64))
-        encoded = IdentityCompressor().encode(state)
-        return {
-            "codec": encoded.codec,
-            "bits": encoded.bits,
-            "blob": b64_encode(encoded.payload),
-        }
-
-    def _wire_update(self, kind: str, state_field) -> Dict[str, Any]:
-        return {
-            "schema": WIRE_VERSION,
-            "client_index": self.client_index,
-            "client_id": self.client_index,
-            "num_examples": 1 if kind == "train" else 0,
-            "mean_loss": 0.0,
-            "val_accuracy": None,
-            "pruned_unstructured": False,
-            "pruned_structured": False,
-            "accuracy": 0.5 if kind == "evaluate" else None,
-            "sparsity": None,
-            "channel_sparsity": None,
-            "state": state_field if kind == "train" else None,
-            "mask": None,
-        }
-
     def serve(self) -> None:
         try:
-            self.api.register([self.client_index])
+            self.api.register(self.clients)
             have_batch = 0
             state_field: Optional[Dict[str, Any]] = None
             while True:
@@ -123,12 +139,11 @@ class FakeWireClient:
                 if status != STATUS_TASK:
                     continue
                 if "global" in response:
-                    state_field = self._state_field(response["global"])
+                    state_field = echo_state(response["global"])
                     have_batch = int(response["batch_id"])
-                kind = response["task"]["kind"]
                 self.api.post_result(
                     int(response["task_id"]),
-                    self._wire_update(kind, state_field),
+                    echo_update(response["task"], state_field),
                 )
                 self.tasks_completed += 1
         except BaseException as exc:
@@ -192,7 +207,7 @@ def run_load_test(
     ).start()
     started = time.monotonic()
     fakes = [
-        FakeWireClient(server.url, index, poll_seconds=poll_seconds)
+        FakeWireClient(server.url, [index], poll_seconds=poll_seconds)
         for index in range(num_clients)
     ]
     threads = [

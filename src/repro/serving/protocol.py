@@ -11,20 +11,29 @@ payloads from :mod:`repro.federated.compression`).  Endpoints (all under
                           client rebuilds its local client population from this
 ``POST /v1/register``     ``{"clients": [...]|null}`` → a session serving those
                           client indices (null = any)
-``GET  /v1/work``         long-poll for a task: ``{"status": "task"|"wait"|
-                          "done", ...}``; a ``task`` response carries the wire
-                          ``ClientTask``, its lease, and (unless the session
-                          already holds this batch's weights) the global state
-``POST /v1/result``       ``{"task_id", "update"}`` — idempotent; late/stale
-                          results are acknowledged but dropped
+``GET  /v1/work``         ``?session=&wait=&have_batch=`` long-poll for a
+                          task: ``{"status": "task"|"wait"|"done", ...}``; a
+                          ``task`` response carries the wire ``ClientTask``,
+                          its lease, and (unless the session already holds
+                          batch ``have_batch``'s weights) the global state
+``POST /v1/result``       ``{"task_id", "update"}`` → ``{"accepted"}`` —
+                          idempotent; late/stale results are acknowledged but
+                          dropped.  With ``?session=&have_batch=`` an accepted
+                          upload is also the session's next poll: ``next``
+                          holds the ``/v1/work`` payload (no ``protocol``
+                          key) of a task leased on the spot, or ``done``; it
+                          is absent when nothing is ready (poll ``/v1/work``)
+                          and after a duplicate or late upload.  An unknown
+                          session is refused (400) before the result is kept
 ``GET  /v1/history``      the finished run's ``History`` (409 while running)
 ``POST /v1/shutdown``     stop the server loop
 ========================  =====================================================
 
 Work dispatch is per-client FIFO (a client's tasks execute in round
-order), leases expire so a disconnected client's task is re-dispatched,
-and duplicate results are acknowledged-but-ignored — the retry story for
-flaky clients.
+order), leases expire so a disconnected client's task is re-dispatched
+(a lease that rode back on an upload included), and duplicate results
+are acknowledged-but-ignored — the retry story for flaky clients.  A
+session with queued work makes one HTTP round trip per task.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from ..federated.registry import TRAINERS
 from ..federated.trainers.subfedavg import SubFedAvgTrainer
 from ..utils.serialization import history_to_dict
 from .hub import HubClosed, WireBackend, WireHub
-from .protocol import PROTOCOL_VERSION, check_protocol
+from .protocol import PROTOCOL_VERSION, STATUS_WAIT, check_protocol
 
 
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
@@ -320,14 +320,26 @@ def _make_handler(server: FederationServer):
                 elif url.path == "/v1/result":
                     from ..federated.execution import ClientUpdate
 
+                    query = parse_qs(url.query)
+                    session = (
+                        int(query["session"][0]) if "session" in query else None
+                    )
                     body = self._read_json()
                     update = ClientUpdate.from_wire(body["update"])
                     accepted = server.hub.complete(
-                        int(body["task_id"]), update
+                        int(body["task_id"]), update, session_id=session
                     )
-                    self._reply(
-                        {"protocol": PROTOCOL_VERSION, "accepted": accepted}
-                    )
+                    payload = {"protocol": PROTOCOL_VERSION, "accepted": accepted}
+                    if accepted and session is not None:
+                        # The upload doubles as the session's next poll: a
+                        # ready task (or ``done``) rides back on this reply.
+                        lease = server.hub.take(
+                            session,
+                            have_batch=int(query.get("have_batch", ["0"])[0]),
+                        )
+                        if lease["status"] != STATUS_WAIT:
+                            payload["next"] = lease
+                    self._reply(payload)
                 elif url.path == "/v1/shutdown":
                     self._reply({"protocol": PROTOCOL_VERSION, "stopping": True})
                     # Shut down from a helper thread: shutdown() blocks until

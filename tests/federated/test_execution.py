@@ -7,6 +7,7 @@ client tasks are scheduled.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -358,6 +359,37 @@ class TestWireSchema:
         decoded = ClientUpdate.from_wire(wire)  # header-dispatched decode
         expected, _ = QuantizationCompressor(bits=8).roundtrip(state)
         np.testing.assert_array_equal(decoded.state["w"], expected["w"])
+
+
+class TestTrainSync:
+    """What a process-backend train update carries back to the parent."""
+
+    def _train_update(self, algorithm):
+        federation = Federation.from_config(small_config(algorithm, "serial"))
+        client = federation.clients[0]
+        task = ClientTask(client_index=0, kind="train", load="global")
+        update = execution.run_client_task(
+            client, task, federation.trainer.global_state, with_sync=True
+        )
+        return client, update
+
+    def test_unstructured_mask_ships_once(self):
+        client, update = self._train_update("sub-fedavg-un")
+        assert update.sync.controller_state["un_mask"] is update.mask
+        shipped = pickle.loads(pickle.dumps(update))
+        assert shipped.sync.controller_state["un_mask"] is shipped.mask
+        execution.apply_sync(client, shipped.sync)
+        # Applied by value: the parent's controller aliases no update.
+        assert client.controller.un_mask == shipped.mask
+        assert client.controller.un_mask is not shipped.mask
+        for name in shipped.mask:
+            assert client.controller.un_mask[name] is not shipped.mask[name]
+
+    def test_structured_branch_keeps_its_own_un_mask(self):
+        client, update = self._train_update("sub-fedavg-hy")
+        un_mask = update.sync.controller_state["un_mask"]
+        assert un_mask is not update.mask
+        assert un_mask == client.controller.un_mask
 
 
 class TestWorkerPool:

@@ -118,6 +118,15 @@ class TestResults:
         assert hub.complete(987654, update(0)) is False
         assert hub.tasks_completed == 1
 
+    def test_unknown_session_refused_before_recording(self):
+        hub = WireHub()
+        _, (task_id,) = hub.submit_batch([train(0)], state())
+        session = hub.register()
+        with pytest.raises(KeyError, match="unknown session"):
+            hub.complete(task_id, update(0), session_id=session + 1)
+        assert hub.outstanding() == 1
+        assert hub.complete(task_id, update(0), session_id=session) is True
+
     def test_wait_for_returns_updates_in_request_order(self):
         hub = WireHub()
         _, ids = hub.submit_batch([train(0), train(1)], state())

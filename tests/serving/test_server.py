@@ -9,7 +9,9 @@ stragglers eagerly and counts their loss in the round that *started*
 them; the wire collects it in the round that *delivers* them).
 """
 
+import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -22,12 +24,27 @@ from repro.federated import (
     ScenarioConfig,
     SystemsConfig,
 )
+from repro.federated.builder import make_clients
+from repro.federated.compression import unpack_state
+from repro.federated.execution import ClientTask, run_client_task
 from repro.federated.registry import TRAINERS
 from repro.federated.trainers.subfedavg import SubFedAvgTrainer
 from repro.serving import FederationServer, ServerClient, attach_runners
 from repro.serving.client import WireClientRunner
-from repro.serving.loadtest import run_load_test
-from repro.serving.protocol import PROTOCOL_VERSION, STATUS_WAIT
+from repro.serving.loadtest import (
+    FakeWireClient,
+    echo_state,
+    echo_update,
+    load_test_config,
+    run_load_test,
+)
+from repro.serving.protocol import (
+    PROTOCOL_VERSION,
+    STATUS_DONE,
+    STATUS_TASK,
+    STATUS_WAIT,
+    b64_decode,
+)
 from repro.utils.serialization import history_to_dict
 
 SCENARIO = ScenarioConfig(profiles=("edge-phone", "raspberry-pi"))
@@ -145,6 +162,158 @@ class TestDisconnectRecovery:
             for runner in runners:
                 runner.join(timeout=30.0)
         assert history_to_dict(history) == local
+
+
+    def test_abandoned_piggybacked_lease_is_redispatched(self):
+        # One round: the flaky client trains its own copy of a client the
+        # runners never see trained, so that client must not train again.
+        config = tiny_config(rounds=1)
+        local = history_to_dict(Federation.from_config(config).run())
+        with FederationServer(config, lease_seconds=0.5) as server:
+            # A flaky client trains round 1's first task; its upload brings
+            # back the second task's lease, and then it vanishes.
+            flaky = ServerClient(server.url)
+            flaky.register(None)
+            leased = flaky.work(wait_seconds=10.0)
+            task = ClientTask.from_wire(leased["task"])
+            update = run_client_task(
+                make_clients(config)[task.client_index],
+                task,
+                unpack_state(b64_decode(leased["global"])),
+            )
+            assert flaky.post_result(leased["task_id"], update.to_wire())
+            assert flaky.holds_lease
+            runners = attach_runners(server.url, [(0, 1), (2, 3)],
+                                     poll_seconds=0.5)
+            history = server.wait(timeout=120.0)
+            for runner in runners:
+                runner.stop()
+            for runner in runners:
+                runner.join(timeout=30.0)
+        assert history_to_dict(history) == local
+
+
+class TestUploadLease:
+    """``POST /v1/result`` doubles as the session's next poll."""
+
+    @pytest.fixture()
+    def server(self):
+        # Every client trains in round 1: four tasks, one batch.
+        with FederationServer(tiny_config(sample_fraction=1.0)) as server:
+            yield server
+
+    @staticmethod
+    def lease(server):
+        api = ServerClient(server.url)
+        api.register(None)
+        leased = api.work(wait_seconds=10.0)
+        assert leased["status"] == STATUS_TASK
+        return api, leased, echo_update(leased["task"], echo_state(leased["global"]))
+
+    @staticmethod
+    def raw_upload(api, leased, update, session):
+        return api._request(
+            f"/v1/result?session={session}&have_batch={leased['batch_id']}",
+            {"protocol": PROTOCOL_VERSION, "task_id": leased["task_id"],
+             "update": update},
+        )
+
+    def test_upload_brings_back_the_next_lease(self, server):
+        api, leased, update = self.lease(server)
+        assert api.post_result(leased["task_id"], update)
+        assert api.holds_lease
+        held = api.work(wait_seconds=0.0)
+        assert not api.holds_lease
+        assert held["status"] == STATUS_TASK
+        assert held["task_id"] != leased["task_id"]
+        # Same batch: the session already holds its weights.
+        assert held["batch_id"] == leased["batch_id"] and "global" not in held
+
+    def test_duplicate_upload_leases_nothing(self, server):
+        api, leased, update = self.lease(server)
+        first = self.raw_upload(api, leased, update, api.session)
+        assert first["accepted"] is True and first["next"]["status"] == STATUS_TASK
+        again = self.raw_upload(api, leased, update, api.session)
+        assert again["accepted"] is False
+        assert "next" not in again  # two tasks were still pending
+        assert server.hub.outstanding() == 3
+
+    def test_unknown_session_refused_before_recording(self, server):
+        api, leased, update = self.lease(server)
+        with pytest.raises(RuntimeError, match="400"):
+            self.raw_upload(api, leased, update, 424242)
+        assert server.hub.tasks_completed == 0
+        assert api.post_result(leased["task_id"], update)
+
+    def test_upload_without_lease_on_upload_asks_for_nothing(self, server):
+        api, leased, update = self.lease(server)
+        api.lease_on_upload = False
+        assert api.post_result(leased["task_id"], update)
+        assert not api.holds_lease
+
+    def test_stopped_runner_asks_for_no_lease(self, server):
+        runner = WireClientRunner(server.url)
+        runner.stop()
+        assert runner.api.lease_on_upload is False
+
+
+class TestRoundTrips:
+    def test_one_request_per_task_plus_round_boundary_polls(self, monkeypatch):
+        """Two echo sessions over eight clients: each batch's first task
+        per session comes from a long-poll, every other one rides back on
+        the previous upload."""
+        urls = []
+        urlopen = urllib.request.urlopen
+
+        def counted(request, *args, **kwargs):
+            urls.append(request.full_url)
+            return urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counted)
+        num_clients, rounds = 8, 2
+        config = load_test_config(num_clients, rounds)
+        with FederationServer(config) as server:
+            fakes = [
+                FakeWireClient(server.url, range(part, num_clients, 2),
+                               poll_seconds=30.0)
+                for part in range(2)
+            ]
+            held = []
+            for fake in fakes:
+                work = fake.api.work
+
+                def watched(*args, _work=work, **kwargs):
+                    before = len(urls)
+                    payload = _work(*args, **kwargs)
+                    if len(urls) == before:
+                        held.append(payload["status"])
+                    return payload
+
+                fake.api.work = watched
+            threads = [
+                threading.Thread(target=fake.serve, daemon=True)
+                for fake in fakes
+            ]
+            for thread in threads:
+                thread.start()
+            server.wait(timeout=60.0)
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(fake.error is None for fake in fakes)
+        tasks = num_clients * (rounds + 1)  # train rounds + final evaluation
+        batches = rounds + 1
+        assert sum(fake.tasks_completed for fake in fakes) == tasks
+        uploads = [url for url in urls if "/v1/result" in url]
+        polls = [url for url in urls if "/v1/work" in url]
+        assert len(uploads) == tasks
+        # Per session: one poll for each batch's first task, one that sees
+        # the run done.  The two-requests-per-task protocol made 24 polls.
+        assert len(polls) <= len(fakes) * (batches + 1)
+        assert len(urls) <= tasks + len(fakes) * (batches + 2)
+        # The rest of the leases came back on uploads, with no request.
+        assert held.count(STATUS_TASK) >= tasks - len(fakes) * batches
+        assert set(held) <= {STATUS_TASK, STATUS_DONE}
 
 
 class TestCrashSurfacesFailure:
