@@ -77,22 +77,44 @@ def pack_payload(meta: Dict, arrays: Dict[str, np.ndarray]) -> bytes:
 
 
 def unpack_payload(blob: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays."""
+    """Inverse of :func:`pack_payload`: ``(meta, arrays)`` with fresh arrays.
+
+    A blob that is not exactly one container raises ``ValueError`` naming
+    the fault: wrong magic, a header or array cut short, or bytes left
+    over after the last array.
+    """
     if blob[:4] != _MAGIC:
         raise ValueError(
             f"not a codec payload (magic {blob[:4]!r}, expected {_MAGIC!r})"
         )
+    if len(blob) < 8:
+        raise ValueError(f"codec payload truncated: {len(blob)} bytes")
     (head_len,) = struct.unpack("<I", blob[4:8])
     offset = 8 + head_len
+    if offset > len(blob):
+        raise ValueError(
+            f"codec payload truncated: its header needs {head_len} bytes, "
+            f"{len(blob) - 8} follow"
+        )
     header = json.loads(blob[8:offset].decode())
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
         dtype = np.dtype(spec["dtype"])
         shape = tuple(spec["shape"])
         count = math.prod(shape)
+        size = dtype.itemsize * count
+        if count < 0 or offset + size > len(blob):
+            raise ValueError(
+                f"codec payload truncated: array {spec['name']!r} needs "
+                f"{size} bytes at offset {offset} of {len(blob)}"
+            )
         array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         arrays[spec["name"]] = array.reshape(shape).copy()
-        offset += dtype.itemsize * count
+        offset += size
+    if offset != len(blob):
+        raise ValueError(
+            f"codec payload has {len(blob) - offset} bytes after its last array"
+        )
     return header["meta"], arrays
 
 

@@ -164,7 +164,9 @@ class ClientUpdate:
         .Compressor` (None = identity, which is bitwise-lossless); the
         payload is self-describing, so the receiver decodes without
         knowing the sender's codec in advance.  ``sync`` stays off the
-        wire deliberately: remote executors own their client state.
+        wire deliberately: remote executors own their client state.  The
+        blobs are base64 text here; the result frame that crosses the
+        wire carries them raw.
         """
         from .compression import IdentityCompressor, pack_state
 
@@ -198,22 +200,27 @@ class ClientUpdate:
         return payload
 
     @classmethod
-    def from_wire(cls, payload: Mapping) -> "ClientUpdate":
-        """Inverse of :meth:`to_wire` (state decoded by its own header)."""
+    def from_wire(
+        cls,
+        payload: Mapping,
+        state: Optional[bytes] = None,
+        mask: Optional[bytes] = None,
+    ) -> "ClientUpdate":
+        """Inverse of :meth:`to_wire` after a result frame carried it.
+
+        ``payload`` holds the non-blob fields; ``state`` and ``mask`` are
+        the raw blobs that :meth:`to_wire` wraps in base64 (the frame,
+        :func:`repro.serving.protocol.pack_result`, carries them
+        unwrapped).  The state is decoded by its own codec header.
+        """
         from .compression import decode_state, unpack_state
 
         _check_wire_version(payload, "ClientUpdate")
-        state = None
-        if payload["state"] is not None:
-            state = decode_state(base64.b64decode(payload["state"]["blob"]))
-        mask = None
-        if payload["mask"] is not None:
-            mask = MaskSet(unpack_state(base64.b64decode(payload["mask"])))
         return cls(
             client_index=int(payload["client_index"]),
             client_id=int(payload["client_id"]),
-            state=state,
-            mask=mask,
+            state=None if state is None else decode_state(state),
+            mask=None if mask is None else MaskSet(unpack_state(mask)),
             num_examples=int(payload["num_examples"]),
             mean_loss=float(payload["mean_loss"]),
             val_accuracy=_opt_float(payload["val_accuracy"]),

@@ -5,9 +5,9 @@ The simulator prices million-client rounds; this package *serves* them.
 thread, but on a :class:`WireBackend` that publishes every
 :class:`~repro.federated.execution.ClientTask` to a :class:`WireHub` task
 board instead of executing it in-process.  Wire-attached clients
-(:class:`WireClientRunner`, or anything speaking the JSON-over-HTTP
-protocol in :mod:`~repro.serving.protocol`) register, long-poll for work,
-train locally and stream codec-encoded updates back.
+(:class:`WireClientRunner`, or anything speaking the HTTP protocol in
+:mod:`~repro.serving.protocol`) register, long-poll for work, train
+locally and upload codec-encoded updates as binary result frames.
 
 Because the trainer loop itself is untouched — same sampler draws, same
 fleet-simulator plans, same aggregation order — a synchronous-policy run

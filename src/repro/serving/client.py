@@ -9,7 +9,10 @@ in-process run), then leases tasks, executes them through the
 one-and-only :func:`~repro.federated.execution.run_client_task` code
 path, and streams codec-encoded updates back.  A served task costs one
 HTTP round trip: each upload brings back the session's next lease, and
-``GET /v1/work`` long-polls only when no task is ready.
+``GET /v1/work`` long-polls only when no task is ready.  Uploads are
+binary result frames (:func:`~repro.serving.protocol.pack_result`): the
+client unwraps the base64 of ``ClientUpdate.to_wire()``, so the server
+reads the weight blobs raw.
 """
 
 from __future__ import annotations
@@ -19,17 +22,19 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..federated.builder import FederationConfig, make_clients
 from ..federated.compression import build_compressor, unpack_state
 from ..federated.execution import ClientTask, run_client_task
 from .protocol import (
+    FRAME_TYPE,
     PROTOCOL_VERSION,
     STATUS_DONE,
     STATUS_TASK,
     b64_decode,
     check_protocol,
+    pack_result,
 )
 
 
@@ -47,7 +52,8 @@ class ServerClient:
     following :meth:`work` returns that lease without a request.  A held
     lease omits those weights, so a caller keeps the weights it was
     given (every runner here does).  ``lease_on_upload = False`` makes
-    uploads ask for nothing.
+    uploads ask for nothing.  Control messages are JSON; an upload is
+    one ``application/octet-stream`` result frame.
     """
 
     def __init__(
@@ -71,11 +77,16 @@ class ServerClient:
     # Transport
     # ------------------------------------------------------------------
     def _request(
-        self, path: str, body: Optional[Dict[str, Any]] = None
+        self, path: str, body: Union[Dict[str, Any], bytes, None] = None
     ) -> Dict[str, Any]:
+        """One request with retries: a dict body goes as JSON, bytes as a
+        result frame; the reply is always JSON."""
         data = None
         headers = {}
-        if body is not None:
+        if isinstance(body, bytes):
+            data = body
+            headers["Content-Type"] = FRAME_TYPE
+        elif body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
         last_error: Optional[Exception] = None
@@ -154,18 +165,12 @@ class ServerClient:
         return payload
 
     def post_result(self, task_id: int, wire_update: Dict[str, Any]) -> bool:
-        """Upload one result; True when the server recorded it."""
+        """Upload one ``ClientUpdate.to_wire()`` dict as a binary result
+        frame (its base64 decoded here); True when the server recorded it."""
         path = "/v1/result"
         if self.lease_on_upload and self.session is not None:
             path += f"?session={self.session}&have_batch={self._have_batch}"
-        payload = self._request(
-            path,
-            {
-                "protocol": PROTOCOL_VERSION,
-                "task_id": task_id,
-                "update": wire_update,
-            },
-        )
+        payload = self._request(path, pack_result(task_id, wire_update))
         self._next = payload.get("next")
         return bool(payload["accepted"])
 

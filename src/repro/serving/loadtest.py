@@ -110,7 +110,7 @@ class FakeWireClient:
     global weights once, re-encodes them once with the identity codec,
     and answers every train task with that cached blob (evaluate tasks
     get a fixed accuracy) — so the server does full wire work while the
-    client does almost none.  Like any :class:`ServerClient` user it
+    client only frames each upload.  Like any :class:`ServerClient` user it
     makes one request per task while the board has work for it (the
     upload brings back the next lease) and long-polls otherwise.
     """

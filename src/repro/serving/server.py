@@ -4,9 +4,12 @@ The server owns three things: a :class:`~repro.serving.hub.WireHub` task
 board, a trainer thread running the stock round loop
 ``Federation.from_config(config, RemoteClients(n), backend=WireBackend(hub))
 .run()``, and a ``ThreadingHTTPServer`` exposing the hub to wire clients
-(see :mod:`~repro.serving.protocol` for the endpoint table).  Because the
-trainer loop is the stock one, everything config-driven — samplers, fleet
-simulation, round policies, callbacks — works unchanged over the wire.
+(see :mod:`~repro.serving.protocol` for the endpoint table).  The
+handler answers in JSON and reads each result upload as one binary frame,
+passing its raw state and mask blobs to ``ClientUpdate.from_wire``, so no
+base64 is decoded server-side.  Because the trainer loop is the stock
+one, everything config-driven — samplers, fleet simulation, round
+policies, callbacks — works unchanged over the wire.
 
 The server holds no client population: :class:`RemoteClients` has only a
 length, so the server never synthesizes the dataset or builds a replica.
@@ -30,7 +33,13 @@ from ..federated.registry import TRAINERS
 from ..federated.trainers.subfedavg import SubFedAvgTrainer
 from ..utils.serialization import history_to_dict
 from .hub import HubClosed, WireBackend, WireHub
-from .protocol import PROTOCOL_VERSION, STATUS_WAIT, check_protocol
+from .protocol import (
+    FRAME_TYPE,
+    PROTOCOL_VERSION,
+    STATUS_WAIT,
+    check_protocol,
+    unpack_result,
+)
 
 
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
@@ -249,11 +258,13 @@ def _make_handler(server: FederationServer):
                 {"protocol": PROTOCOL_VERSION, "error": message}, status=status
             )
 
-        def _read_json(self) -> Dict[str, Any]:
+        def _read_body(self) -> bytes:
             length = int(self.headers.get("Content-Length", 0))
-            if length == 0:
-                return {}
-            return json.loads(self.rfile.read(length).decode("utf-8"))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                self.close_connection = True
+                raise ValueError(f"negative Content-Length {length}")
+            return self.rfile.read(length)
 
         # ------------------------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -306,10 +317,11 @@ def _make_handler(server: FederationServer):
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             url = urlparse(self.path)
             try:
+                body = self._read_body()
                 if url.path == "/v1/register":
-                    body = self._read_json()
-                    check_protocol(body, "register")
-                    session = server.hub.register(body.get("clients"))
+                    request = json.loads(body.decode("utf-8")) if body else {}
+                    check_protocol(request, "register")
+                    session = server.hub.register(request.get("clients"))
                     self._reply(
                         {
                             "protocol": PROTOCOL_VERSION,
@@ -324,10 +336,21 @@ def _make_handler(server: FederationServer):
                     session = (
                         int(query["session"][0]) if "session" in query else None
                     )
-                    body = self._read_json()
-                    update = ClientUpdate.from_wire(body["update"])
+                    kind = self.headers.get("Content-Type", "")
+                    if kind != FRAME_TYPE:
+                        raise ValueError(
+                            f"/v1/result takes one {FRAME_TYPE} result frame "
+                            f"(protocol {PROTOCOL_VERSION}); got Content-Type "
+                            f"{kind!r}"
+                        )
+                    try:
+                        task_id, fields, sections = unpack_result(body)
+                        update = ClientUpdate.from_wire(fields, **sections)
+                    except (TypeError, AttributeError) as exc:
+                        # Fields of the wrong type, or an unknown section.
+                        raise ValueError(f"malformed result frame: {exc}") from exc
                     accepted = server.hub.complete(
-                        int(body["task_id"]), update, session_id=session
+                        task_id, update, session_id=session
                     )
                     payload = {"protocol": PROTOCOL_VERSION, "accepted": accepted}
                     if accepted and session is not None:

@@ -27,13 +27,15 @@ from repro.federated import (
     WorkerPool,
     resolve_backend,
 )
-from repro.federated import execution
+from repro.federated import IdentityCompressor, TopKCompressor, execution
+from repro.federated.compression import unpack_payload
 from repro.federated.execution import (
     WIRE_VERSION,
     ClientSync,
     resolve_start_method,
 )
 from repro.pruning import MaskSet
+from repro.serving.protocol import pack_result, unpack_result
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -317,6 +319,14 @@ class TestWireSchema:
         with pytest.raises(ValueError):
             ClientTask.from_wire(wire)
 
+    @staticmethod
+    def over_the_wire(update, codec=None):
+        """``to_wire`` → result frame → ``from_wire``, as a served upload."""
+        frame = pack_result(7, update.to_wire(codec=codec))
+        task_id, fields, sections = unpack_result(frame)
+        assert task_id == 7
+        return ClientUpdate.from_wire(fields, **sections)
+
     def test_update_roundtrip_bitwise(self):
         rng = np.random.default_rng(0)
         update = ClientUpdate(
@@ -326,8 +336,7 @@ class TestWireSchema:
             num_examples=40, mean_loss=1.25, val_accuracy=0.5,
             pruned_unstructured=True, accuracy=0.75, sparsity=0.3,
         )
-        wire = json.loads(json.dumps(update.to_wire()))
-        again = ClientUpdate.from_wire(wire)
+        again = self.over_the_wire(update)
         assert again.client_id == 1 and again.num_examples == 40
         assert again.mean_loss == 1.25 and again.accuracy == 0.75
         assert again.pruned_unstructured and not again.pruned_structured
@@ -337,7 +346,9 @@ class TestWireSchema:
 
     def test_update_eval_only_payload(self):
         update = ClientUpdate(client_index=2, client_id=2, accuracy=0.5)
-        again = ClientUpdate.from_wire(update.to_wire())
+        frame = pack_result(7, update.to_wire())
+        assert unpack_payload(frame)[1] == {}  # no sections
+        again = self.over_the_wire(update)
         assert again.state is None and again.mask is None
         assert again.accuracy == 0.5
 
@@ -348,7 +359,7 @@ class TestWireSchema:
         )
         wire = update.to_wire()
         assert "sync" not in wire
-        assert ClientUpdate.from_wire(wire).sync is None
+        assert self.over_the_wire(update).sync is None
 
     def test_update_codec_parameter(self):
         rng = np.random.default_rng(1)
@@ -356,9 +367,28 @@ class TestWireSchema:
         update = ClientUpdate(client_index=0, client_id=0, state=state)
         wire = update.to_wire(codec=QuantizationCompressor(bits=8))
         assert wire["state"]["codec"] == "quantize"
-        decoded = ClientUpdate.from_wire(wire)  # header-dispatched decode
+        decoded = self.over_the_wire(update, QuantizationCompressor(bits=8))
         expected, _ = QuantizationCompressor(bits=8).roundtrip(state)
         np.testing.assert_array_equal(decoded.state["w"], expected["w"])
+
+    @pytest.mark.parametrize(
+        "codec",
+        [IdentityCompressor(), TopKCompressor(0.25), QuantizationCompressor(8)],
+        ids=["identity", "topk", "quantize"],
+    )
+    def test_frame_is_bit_identical_per_codec(self, codec):
+        rng = np.random.default_rng(1)
+        state = {"w": rng.normal(size=(8, 8)), "b": rng.normal(size=8)}
+        mask = MaskSet({"w": (rng.random((8, 8)) < 0.5).astype(float)})
+        update = ClientUpdate(client_index=0, client_id=0, state=state, mask=mask)
+        wire = update.to_wire(codec=codec)
+        assert wire["state"]["codec"] == codec.name
+        decoded = self.over_the_wire(update, codec)  # header-dispatched decode
+        expected, _ = codec.roundtrip(state)
+        assert decoded.state.keys() == expected.keys()
+        for name in expected:
+            assert decoded.state[name].tobytes() == expected[name].tobytes()
+        assert decoded.mask["w"].tobytes() == mask["w"].tobytes()
 
 
 class TestTrainSync:

@@ -9,8 +9,11 @@ stragglers eagerly and counts their loss in the round that *started*
 them; the wire collects it in the round that *delivers* them).
 """
 
+import json
+import socket
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -25,7 +28,7 @@ from repro.federated import (
     SystemsConfig,
 )
 from repro.federated.builder import make_clients
-from repro.federated.compression import unpack_state
+from repro.federated.compression import pack_payload, unpack_payload, unpack_state
 from repro.federated.execution import ClientTask, run_client_task
 from repro.federated.registry import TRAINERS
 from repro.federated.trainers.subfedavg import SubFedAvgTrainer
@@ -39,11 +42,13 @@ from repro.serving.loadtest import (
     run_load_test,
 )
 from repro.serving.protocol import (
+    FRAME_TYPE,
     PROTOCOL_VERSION,
     STATUS_DONE,
     STATUS_TASK,
     STATUS_WAIT,
     b64_decode,
+    pack_result,
 )
 from repro.utils.serialization import history_to_dict
 
@@ -214,8 +219,7 @@ class TestUploadLease:
     def raw_upload(api, leased, update, session):
         return api._request(
             f"/v1/result?session={session}&have_batch={leased['batch_id']}",
-            {"protocol": PROTOCOL_VERSION, "task_id": leased["task_id"],
-             "update": update},
+            pack_result(leased["task_id"], update),
         )
 
     def test_upload_brings_back_the_next_lease(self, server):
@@ -240,10 +244,28 @@ class TestUploadLease:
 
     def test_unknown_session_refused_before_recording(self, server):
         api, leased, update = self.lease(server)
-        with pytest.raises(RuntimeError, match="400"):
+        with pytest.raises(RuntimeError, match="400: 'unknown session 424242'"):
             self.raw_upload(api, leased, update, 424242)
         assert server.hub.tasks_completed == 0
         assert api.post_result(leased["task_id"], update)
+
+    def test_upload_is_one_binary_frame(self, server, monkeypatch):
+        api, leased, update = self.lease(server)
+        sent = []
+        urlopen = urllib.request.urlopen
+
+        def counted(request, *args, **kwargs):
+            sent.append(request)
+            return urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counted)
+        assert api.post_result(leased["task_id"], update)
+        assert len(sent) == 1
+        (request,) = sent
+        assert request.get_header("Content-type") == FRAME_TYPE
+        blob = update["state"]["blob"]
+        assert b64_decode(blob) in request.data
+        assert blob[:64].encode("ascii") not in request.data
 
     def test_upload_without_lease_on_upload_asks_for_nothing(self, server):
         api, leased, update = self.lease(server)
@@ -255,6 +277,99 @@ class TestUploadLease:
         runner = WireClientRunner(server.url)
         runner.stop()
         assert runner.api.lease_on_upload is False
+
+
+def _edit_meta(frame, **changes):
+    meta, arrays = unpack_payload(frame)
+    meta.update(changes)
+    return pack_payload(meta, arrays)
+
+
+def _with_section(frame, name):
+    meta, arrays = unpack_payload(frame)
+    arrays[name] = arrays["state"]
+    return pack_payload(meta, arrays)
+
+
+#: name -> (good frame -> (body, Content-Type), what the 400 must name)
+MALFORMED = {
+    "json-body": (
+        lambda frame: (json.dumps(unpack_payload(frame)[0]).encode(),
+                       "application/json"),
+        "frame (protocol 2); got Content-Type 'application/json'",
+    ),
+    "bad-magic": (lambda frame: (b"XXXX" + frame[4:], FRAME_TYPE), "magic"),
+    "truncated-header": (lambda frame: (frame[:6], FRAME_TYPE), "truncated"),
+    "truncated-section": (
+        lambda frame: (frame[:-100], FRAME_TYPE), "truncated: array 'state'"
+    ),
+    "trailing-bytes": (
+        lambda frame: (frame + bytes(8), FRAME_TYPE), "8 bytes after its last"
+    ),
+    "old-protocol": (
+        lambda frame: (_edit_meta(frame, protocol=1), FRAME_TYPE),
+        "protocol version 1",
+    ),
+    "bad-dtype": (
+        lambda frame: (frame.replace(b'"uint8"', b'"bogus"', 1), FRAME_TYPE),
+        "malformed result frame",
+    ),
+    "unknown-section": (
+        lambda frame: (_with_section(frame, "extra"), FRAME_TYPE),
+        "malformed result frame",
+    ),
+    "state-missing": (
+        lambda frame: (pack_payload(unpack_payload(frame)[0], {}), FRAME_TYPE),
+        "state section",
+    ),
+}
+
+
+class TestMalformedUploads:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_before_recording(self, case):
+        """A result body that is not one protocol-2 frame gets a 400 naming
+        its fault; nothing is recorded and the lease stays live."""
+        make_body, cause = MALFORMED[case]
+        with FederationServer(tiny_config(sample_fraction=1.0)) as server:
+            api, leased, update = TestUploadLease.lease(server)
+            body, content_type = make_body(pack_result(leased["task_id"], update))
+            request = urllib.request.Request(
+                f"{server.url}/v1/result?session={api.session}",
+                data=body, headers={"Content-Type": content_type},
+            )
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=10.0)
+            assert refused.value.code == 400
+            assert cause in json.loads(refused.value.read())["error"]
+            assert server.hub.tasks_completed == 0
+            assert server.hub.outstanding() == 4
+            assert api.post_result(leased["task_id"], update)
+            assert server.hub.tasks_completed == 1
+
+
+class TestNegativeContentLength:
+    @pytest.mark.parametrize(
+        "path", ["/v1/register", "/v1/result", "/v1/shutdown", "/v1/nope"]
+    )
+    def test_refused_before_reading(self, path):
+        with FederationServer(tiny_config()) as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=3.0) as sock:
+                sock.sendall(
+                    f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                    "Content-Type: application/json\r\n"
+                    "Content-Length: -1\r\n\r\n".encode("ascii")
+                )
+                # The handler replies, then closes: read to EOF (a blocked
+                # handler makes recv time out instead).
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"negative Content-Length" in reply
+            assert server.hub._sessions == {}
+            assert server.phase == "serving"
 
 
 class TestRoundTrips:
