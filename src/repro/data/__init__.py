@@ -1,5 +1,9 @@
 """Datasets, synthetic benchmark generators and non-IID partitioning.
 
+Every dataset is an in-memory :class:`ArrayDataset` or a chain of
+:class:`Subset` index views over one; batches are vectorized gathers
+from the root arrays.
+
 Both scenario axes are registry-driven: datasets register a
 :class:`DatasetSpec` plus loader with :func:`register_dataset` into
 :data:`DATASETS` (``DATASETS[name].spec``), and partition strategies
@@ -31,15 +35,6 @@ from .partition import (
     shard_partition,
 )
 from .stats import heterogeneity_index, label_emd, label_histogram
-from .transforms import (
-    AugmentedDataset,
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    Transform,
-)
 from .synthetic import (
     DatasetSpec,
     class_templates,
@@ -84,13 +79,6 @@ __all__ = [
     "synthetic_emnist",
     "synthetic_cifar10",
     "synthetic_cifar100",
-    "Transform",
-    "Compose",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "GaussianNoise",
-    "Normalize",
-    "AugmentedDataset",
     "label_histogram",
     "label_emd",
     "heterogeneity_index",

@@ -81,11 +81,7 @@ class Subset(Dataset):
         return self.base.labels[self.indices]
 
     def batch(self, indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        mapped = self.indices[np.asarray(indices)]
-        if hasattr(self.base, "batch"):
-            return self.base.batch(mapped)
-        xs, ys = zip(*(self.base[int(i)] for i in mapped))
-        return np.stack(xs), np.asarray(ys)
+        return self.base.batch(self.indices[np.asarray(indices)])
 
 
 def train_val_split(

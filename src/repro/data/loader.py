@@ -12,10 +12,12 @@ from .dataset import Dataset
 class DataLoader:
     """Seeded, shuffling batch iterator yielding ``(images, labels)`` arrays.
 
-    Unlike PyTorch's loader this is single-process; the gather is vectorized
-    through ``Dataset.batch`` when available.  Each ``__iter__`` call draws a
-    fresh permutation from the loader's own generator, so epoch order is
-    reproducible given the seed but differs across epochs.
+    Unlike PyTorch's loader this is single-process; the gather is the
+    dataset's vectorized ``batch`` (an
+    :class:`~repro.data.dataset.ArrayDataset` or a ``Subset`` chain over
+    one).  Each ``__iter__`` call draws a fresh permutation from the
+    loader's own generator, so epoch order is reproducible given the seed
+    but differs across epochs.
     """
 
     def __init__(
@@ -59,15 +61,9 @@ class DataLoader:
             yield self._gather(indices)
 
     def _gather(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if hasattr(self.dataset, "batch"):
-            return self.dataset.batch(indices)
-        xs, ys = zip(*(self.dataset[int(i)] for i in indices))
-        return np.stack(xs), np.asarray(ys)
+        return self.dataset.batch(indices)
 
 
 def full_batch(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
     """Materialize an entire dataset as one ``(images, labels)`` pair."""
-    if hasattr(dataset, "batch"):
-        return dataset.batch(np.arange(len(dataset)))
-    xs, ys = zip(*(dataset[i] for i in range(len(dataset))))
-    return np.stack(xs), np.asarray(ys)
+    return dataset.batch(np.arange(len(dataset)))

@@ -49,26 +49,15 @@ def run_kernel(
 # ----------------------------------------------------------------------
 _register("add", lambda attrs, a, b: a + b)
 _register("mul", lambda attrs, a, b: a * b)
-_register("div", lambda attrs, a, b: a / b)
 _register("neg", lambda attrs, a: -a)
-_register("pow", lambda attrs, a: a ** attrs["exponent"])
-_register("exp", lambda attrs, a: np.exp(a))
-_register("log", lambda attrs, a: np.log(a))
-_register("tanh", lambda attrs, a: np.tanh(a))
-_register("sigmoid", lambda attrs, a: 1.0 / (1.0 + np.exp(-a)))
 _register("relu", lambda attrs, a: a * (a > 0))
-_register("abs", lambda attrs, a: np.abs(a))
 
 # ----------------------------------------------------------------------
-# Reductions
+# Reduction
 # ----------------------------------------------------------------------
 _register(
     "sum",
     lambda attrs, a: a.sum(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
-)
-_register(
-    "max",
-    lambda attrs, a: a.max(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
 )
 
 # ----------------------------------------------------------------------
@@ -185,19 +174,6 @@ def _nll_loss_kernel(attrs, log_probs):
 _register("nll_loss", _nll_loss_kernel)
 
 # ----------------------------------------------------------------------
-# Indexing / padding / joining
+# Indexing
 # ----------------------------------------------------------------------
 _register("getitem", lambda attrs, a: a[attrs["index"]])
-
-
-def _pad2d_kernel(attrs, a):
-    padding = attrs["padding"]
-    pad_width = [(0, 0)] * (a.ndim - 2) + [(padding, padding), (padding, padding)]
-    return np.pad(a, pad_width)
-
-
-_register("pad2d", _pad2d_kernel)
-_register(
-    "concat", lambda attrs, *arrays: np.concatenate(arrays, axis=attrs.get("axis", 0))
-)
-_register("stack", lambda attrs, *arrays: np.stack(arrays, axis=attrs.get("axis", 0)))

@@ -390,15 +390,14 @@ def make_clients(config: FederationConfig) -> ClientPool:
 def local_config(config: FederationConfig) -> LocalTrainConfig:
     """``config.local`` with the algorithm's ``local_defaults`` patched in.
 
-    A field left at a non-positive placeholder takes the registered
-    default (how FedProx gets a ``prox_mu``).  Every client of a
-    config-built population trains with exactly this config, so the
-    trainer checks its requirements against it once instead of reading
-    any client.
+    A field left at 0 takes the registered default (how FedProx gets a
+    ``prox_mu``).  Every client of a config-built population trains with
+    exactly this config, so the trainer checks its requirements against
+    it once instead of reading any client.
     """
     local = config.local
     for name, default in TRAINERS[config.algorithm].local_defaults.items():
-        if getattr(local, name) <= 0:
+        if getattr(local, name) == 0:
             local = replace(local, **{name: default})
     return local
 

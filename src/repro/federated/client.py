@@ -45,6 +45,9 @@ class LocalTrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("weight_decay", "prox_mu", "mtl_lambda"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

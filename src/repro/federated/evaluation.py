@@ -22,7 +22,6 @@ from typing import Mapping
 import numpy as np
 
 from ..data.dataset import ArrayDataset, Subset
-from ..data.loader import full_batch
 from ..tensor import Tensor, no_grad
 
 
@@ -87,13 +86,16 @@ def _model_digest(model) -> bytes:
 
 
 def _root_rows(dataset):
-    """``(root, rows)`` of a ``Subset`` chain over an ``ArrayDataset``, else None."""
+    """``(root, rows)`` of a ``Subset`` chain over an ``ArrayDataset``."""
     rows = None
     while isinstance(dataset, Subset):
         rows = dataset.indices if rows is None else dataset.indices[rows]
         dataset = dataset.base
     if not isinstance(dataset, ArrayDataset):
-        return None
+        raise TypeError(
+            "predict needs an ArrayDataset or a Subset chain over one, "
+            f"not {type(dataset).__name__}"
+        )
     return dataset, np.arange(len(dataset)) if rows is None else rows
 
 
@@ -114,20 +116,17 @@ def predict(model, dataset) -> np.ndarray:
     The one evaluation forward of the repo: eval mode, no graph, in chunks
     of :data:`EVAL_CHUNK` examples.  Leaves ``model`` in train mode.
 
-    Predictions are memoized per process.  A view whose ``Subset`` chain
-    ends in an :class:`ArrayDataset` is keyed by that root (held weakly)
-    and by a sha256 of the model's class, parameters and buffers, so
-    clients evaluating the same weights on overlapping views forward each
-    example once, and any in-place edit of a weight or a batch-norm
-    statistic misses.  Other views (an ``AugmentedDataset`` draws fresh
-    images per access) are forwarded uncached.
+    ``dataset`` is an :class:`ArrayDataset` or a ``Subset`` chain over
+    one (what every dataset loader returns); anything else raises
+    ``TypeError``.  Predictions are memoized per process, keyed by that
+    root (held weakly) and by a sha256 of the model's class, parameters
+    and buffers, so clients evaluating the same weights on overlapping
+    views forward each example once, and any in-place edit of a weight or
+    a batch-norm statistic misses.
     """
+    root, rows = _root_rows(dataset)
     model.eval()
-    resolved = _root_rows(dataset)
-    if resolved is None:
-        predictions = _forward(model, full_batch(dataset)[0])
-    else:
-        predictions = _memoized(model, *resolved)
+    predictions = _memoized(model, root, rows)
     model.train()
     return predictions
 

@@ -60,8 +60,8 @@ def register_trainer(
     ``config_sections`` names the optional :class:`FederationConfig`
     sections forwarded to the constructor (keyword arguments of the same
     name).  ``local_defaults`` maps ``LocalTrainConfig`` field names to the
-    value the builder should substitute when the user left the field at a
-    non-positive placeholder (how FedProx gets a default ``prox_mu``).
+    value the builder should substitute when the user left the field at 0
+    (how FedProx gets a default ``prox_mu``).
     ``summary`` defaults to the first line of the class docstring.
     """
     for section in config_sections:

@@ -2,7 +2,6 @@
 
 from .module import Module, Parameter
 from .layers import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Flatten,
@@ -10,9 +9,8 @@ from .layers import (
     MaxPool2d,
     ReLU,
     Sequential,
-    Tanh,
 )
-from .loss import CrossEntropyLoss, L1Loss, MSELoss
+from .loss import CrossEntropyLoss
 from . import init
 
 __all__ = [
@@ -20,15 +18,11 @@ __all__ = [
     "Parameter",
     "Linear",
     "Conv2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "MaxPool2d",
     "ReLU",
-    "Tanh",
     "Flatten",
     "Sequential",
     "CrossEntropyLoss",
-    "MSELoss",
-    "L1Loss",
     "init",
 ]

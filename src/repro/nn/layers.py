@@ -132,13 +132,6 @@ class BatchNorm2d(Module):
         return f"BatchNorm2d({self.num_features})"
 
 
-class BatchNorm1d(BatchNorm2d):
-    """Batch normalization for ``(N, C)`` inputs (shares the 2-D kernel)."""
-
-    def __repr__(self) -> str:
-        return f"BatchNorm1d({self.num_features})"
-
-
 class MaxPool2d(Module):
     """Max pooling with square windows."""
 
@@ -160,14 +153,6 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
 
 
 class Flatten(Module):

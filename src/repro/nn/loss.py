@@ -1,4 +1,4 @@
-"""Loss functions."""
+"""The loss: softmax cross-entropy over integer class targets."""
 
 from __future__ import annotations
 
@@ -16,26 +16,3 @@ class CrossEntropyLoss(Module):
 
     def __repr__(self) -> str:
         return "CrossEntropyLoss()"
-
-
-class MSELoss(Module):
-    """Mean squared error between prediction and target tensors/arrays."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = prediction - target
-        return (diff * diff).mean()
-
-    def __repr__(self) -> str:
-        return "MSELoss()"
-
-
-class L1Loss(Module):
-    """Mean absolute error."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        return (prediction - target).abs().mean()
-
-    def __repr__(self) -> str:
-        return "L1Loss()"

@@ -1,16 +1,9 @@
-"""Optimizers, learning-rate schedules and gradient clipping."""
+"""The optimizer: momentum SGD with per-parameter gradient masks.
+
+Every federated client trains with :class:`SGD` (paper §4.1: lr 0.01,
+momentum 0.5); the masks keep pruned coordinates at zero.
+"""
 
 from .sgd import SGD
-from .adam import Adam
-from .clip import clip_grad_norm, clip_grad_value, grad_norm
-from .lr_scheduler import CosineAnnealingLR, StepLR
 
-__all__ = [
-    "SGD",
-    "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
-    "clip_grad_norm",
-    "clip_grad_value",
-    "grad_norm",
-]
+__all__ = ["SGD"]

@@ -14,8 +14,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..nn.module import Parameter
-
 
 class SGD:
     """Vanilla/momentum SGD over a list of named parameters."""
@@ -40,22 +38,13 @@ class SGD:
 
     @staticmethod
     def _normalize(named_params) -> List[tuple]:
-        items = []
-        for entry in named_params:
-            if isinstance(entry, tuple):
-                name, param = entry
-            elif isinstance(entry, Parameter):
-                name, param = f"param{len(items)}", entry
-            else:
-                raise TypeError(f"expected (name, Parameter) or Parameter, got {type(entry)}")
-            items.append((name, param))
+        items = list(named_params)
+        for entry in items:
+            if not isinstance(entry, tuple):
+                raise TypeError(f"expected a (name, Parameter) pair, got {type(entry)}")
         if not items:
             raise ValueError("optimizer received no parameters")
         return items
-
-    @property
-    def named_parameters(self) -> List[tuple]:
-        return list(self._named)
 
     def set_masks(self, masks: Optional[Dict[str, np.ndarray]]) -> None:
         """Install binary keep-masks keyed by parameter name (1 = trainable).
@@ -98,9 +87,3 @@ class SGD:
             if mask is not None:
                 # Keep pruned coordinates exactly zero even under weight decay.
                 data *= mask
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: velocity.copy() for name, velocity in self._velocity.items()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self._velocity = {name: np.array(value) for name, value in state.items()}

@@ -9,14 +9,10 @@ Forward values dispatch through :func:`~repro.engine.ops.run_kernel` like
 the primitive tensor ops do; the kernels of convolution, pooling and
 log-softmax also return *saved* intermediates (im2col columns, pool argmax,
 softmax) that the backward closures read; pooling computes its argmax only
-when the output will record a backward.  Two ops differ:
-
-* :func:`batch_norm` computes directly in numpy, outside the kernel table,
-  because it also updates its running statistics in place at call time
-  (PyTorch semantics).  Without a backward to feed it normalizes in place
-  on one buffer.
-* :func:`dropout` draws its mask from the caller's RNG and dispatches only
-  the masking multiply.
+when the output will record a backward.  :func:`batch_norm` differs: it
+computes directly in numpy, outside the kernel table, because it also
+updates its running statistics in place at call time (PyTorch semantics).
+Without a backward to feed it normalizes in place on one buffer.
 """
 
 from __future__ import annotations
@@ -136,21 +132,16 @@ def batch_norm(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Batch normalization over the channel axis of ``(N, C)`` or ``(N, C, H, W)``.
+    """Batch normalization over the channel axis of ``(N, C, H, W)``.
 
     ``running_mean`` / ``running_var`` are updated in place during training,
     mirroring PyTorch semantics (exponential moving average with ``momentum``).
     """
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-    elif x.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-        count = x.shape[0]
-    else:
-        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
+    if x.ndim != 4:
+        raise ValueError(f"batch_norm expects 4-D input, got {x.ndim}-D")
+    axes = (0, 2, 3)
+    shape = (1, -1, 1, 1)
+    count = x.shape[0] * x.shape[2] * x.shape[3]
 
     parents = (x, gamma, beta)
     requires = grad_enabled() and any(p.requires_grad for p in parents)
@@ -224,11 +215,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` (computed through :func:`log_softmax`)."""
-    return log_softmax(x, axis=axis).exp()
-
-
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-likelihood of integer ``targets`` under ``log_probs``."""
     targets = np.asarray(targets)
@@ -250,21 +236,3 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Softmax cross-entropy between ``logits`` ``(N, K)`` and integer targets."""
     return nll_loss(log_softmax(logits, axis=-1), targets)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or ``rate == 0``."""
-    if not training or rate <= 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-    value, _ = _apply("mul", (x._data, mask))
-    requires = grad_enabled() and x.requires_grad
-    out = _make(value, requires, (x,))
-    if requires:
-
-        def _backward(grad: np.ndarray) -> None:
-            x._accumulate(grad * mask)
-
-        out._backward = _backward
-    return out

@@ -3,10 +3,11 @@
 This module provides the :class:`Tensor` class, a thin autograd wrapper
 that records a computation graph and supports backpropagation.  It
 replaces the subset of PyTorch functionality the Sub-FedAvg reproduction
-needs: elementwise arithmetic with broadcasting, matrix multiplication,
-reductions, reshaping and indexing.  Convolution, pooling and batch-norm
-live in :mod:`repro.tensor.ops` as dedicated ops with hand-written
-backward passes for speed.
+needs: addition, negation and multiplication with broadcasting, ReLU,
+matrix multiplication, sum/mean, reshaping and indexing.  Convolution,
+pooling, batch-norm and the cross-entropy loss live in
+:mod:`repro.tensor.ops` as dedicated ops with hand-written backward
+passes for speed.
 
 Every forward primitive routes through :func:`_apply`, which runs the
 op's numpy kernel from :mod:`repro.engine.ops` immediately via
@@ -314,41 +315,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._lift(other)
-        value, _ = _apply("div", (self._data, other._data))
-        requires = _GRAD_MODE.enabled and (self.requires_grad or other.requires_grad)
-        out = _make(value, requires, (self, other))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(unbroadcast(grad / other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
-                    )
-
-            out._backward = _backward
-        return out
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._lift(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        value, _ = _apply("pow", (self._data,), {"exponent": exponent})
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-            out._backward = _backward
-        return out
-
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
         value, _ = _apply("matmul", (self._data, other._data))
@@ -377,57 +343,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        value, _ = _apply("exp", (self._data,))
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * value)
-
-            out._backward = _backward
-        return out
-
-    def log(self) -> "Tensor":
-        value, _ = _apply("log", (self._data,))
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad / self.data)
-
-            out._backward = _backward
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
-    def tanh(self) -> "Tensor":
-        value, _ = _apply("tanh", (self._data,))
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * (1.0 - value ** 2))
-
-            out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        value, _ = _apply("sigmoid", (self._data,))
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * value * (1.0 - value))
-
-            out._backward = _backward
-        return out
-
     def relu(self) -> "Tensor":
         value, _ = _apply("relu", (self._data,))
         requires = _GRAD_MODE.enabled and self.requires_grad
@@ -436,18 +351,6 @@ class Tensor:
 
             def _backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * (self.data > 0))
-
-            out._backward = _backward
-        return out
-
-    def abs(self) -> "Tensor":
-        value, _ = _apply("abs", (self._data,))
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * np.sign(self.data))
 
             out._backward = _backward
         return out
@@ -479,31 +382,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        sq = (self - mu) ** 2
-        return sq.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value, _ = _apply("max", (self._data,), {"axis": axis, "keepdims": keepdims})
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                expanded = self.data.max(axis=axis, keepdims=True)
-                mask = self.data == expanded
-                counts = mask.sum(axis=axis, keepdims=True)
-                g = grad
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    for ax in sorted(a % self.ndim for a in axes):
-                        g = np.expand_dims(g, ax)
-                self._accumulate(mask * g / counts)
-
-            out._backward = _backward
-        return out
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -557,65 +435,6 @@ class Tensor:
 
             out._backward = _backward
         return out
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        value, _ = _apply("pad2d", (self._data,), {"padding": padding})
-        requires = _GRAD_MODE.enabled and self.requires_grad
-        out = _make(value, requires, (self,))
-        if requires:
-
-            def _backward(grad: np.ndarray) -> None:
-                slices = [slice(None)] * (self.ndim - 2) + [
-                    slice(padding, -padding),
-                    slice(padding, -padding),
-                ]
-                self._accumulate(grad[tuple(slices)])
-
-            out._backward = _backward
-        return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    value, _ = _apply("concat", tuple(t._data for t in tensors), {"axis": axis})
-    requires = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
-    out = _make(value, requires, tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    if requires:
-
-        def _backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
-
-        out._backward = _backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    value, _ = _apply("stack", tuple(t._data for t in tensors), {"axis": axis})
-    requires = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
-    out = _make(value, requires, tuple(tensors))
-    if requires:
-
-        def _backward(grad: np.ndarray) -> None:
-            moved = np.moveaxis(grad, axis, 0)
-            for tensor, g in zip(tensors, moved):
-                if tensor.requires_grad:
-                    tensor._accumulate(g)
-
-        out._backward = _backward
-    return out
-
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)

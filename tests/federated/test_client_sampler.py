@@ -98,6 +98,11 @@ class TestLocalTraining:
         with pytest.raises(ValueError):
             LocalTrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field", ["weight_decay", "prox_mu", "mtl_lambda"])
+    def test_negative_coefficient_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -0\.5$"):
+            LocalTrainConfig(**{field: -0.5})
+
 
 class TestClientPruning:
     def test_mask_respected_during_training(self, rng):

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, AugmentedDataset, GaussianNoise, Subset
+from repro.data import ArrayDataset, Dataset, Subset
 from repro.data.partition import ClientData
 from repro.federated import (
     DataConfig,
@@ -205,13 +205,26 @@ class TestPredictionMemo:
         assert forwarded == [40]
         assert tiny_cnn.training
 
-    def test_augmented_views_are_never_cached(self, tiny_cnn, root, forwarded):
-        augmented = AugmentedDataset(root, GaussianNoise(0.1), seed=0)
-        for view in (augmented, Subset(augmented, np.arange(30))):
-            predict(tiny_cnn, view)
-            predict(tiny_cnn, view)
-        assert forwarded == [60, 60, 30, 30]
-        assert root not in evaluation._memo
+    def test_view_over_another_root_is_refused(self, tiny_cnn, root, forwarded):
+        class ItemDataset(Dataset):
+            """Per-item access only, over the same arrays as ``root``."""
+
+            def __len__(self):
+                return len(root)
+
+            def __getitem__(self, index):
+                return root[index]
+
+            @property
+            def labels(self):
+                return root.labels
+
+        other = ItemDataset()
+        for view in (other, Subset(other, np.arange(30))):
+            with pytest.raises(TypeError, match="ItemDataset"):
+                predict(tiny_cnn, view)
+        assert forwarded == []
+        assert tiny_cnn.training
 
     def test_least_recently_used_model_is_evicted(self, tiny_cnn, root, forwarded):
         view = Subset(root, np.arange(8))

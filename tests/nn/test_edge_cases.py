@@ -11,8 +11,8 @@ from repro.tensor import Tensor, batch_norm, conv2d, cross_entropy
 class TestBatchNormEdgeCases:
     def test_batch_size_one_does_not_crash(self, rng):
         """count == 1 must not divide by zero in the unbiased-variance EMA."""
-        layer = nn.BatchNorm1d(3)
-        out = layer(Tensor(rng.normal(size=(1, 3))))
+        layer = nn.BatchNorm2d(3)
+        out = layer(Tensor(rng.normal(size=(1, 3, 1, 1))))
         assert np.isfinite(out.data).all()
         assert np.isfinite(layer.running_var).all()
 

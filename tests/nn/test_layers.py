@@ -71,11 +71,6 @@ class TestBatchNormLayers:
         state = layer.state_dict()
         assert "running_mean" in state and "running_var" in state
 
-    def test_bn1d_on_2d_input(self, rng):
-        layer = nn.BatchNorm1d(5)
-        out = layer(Tensor(rng.normal(size=(10, 5))))
-        assert out.shape == (10, 5)
-
 
 class TestContainers:
     def test_sequential_order_and_len(self, rng):
@@ -89,10 +84,9 @@ class TestContainers:
         out = nn.Flatten()(Tensor(rng.normal(size=(2, 3, 4, 4))))
         assert out.shape == (2, 48)
 
-    def test_relu_tanh(self):
+    def test_relu(self):
         x = Tensor(np.array([-1.0, 2.0]))
         np.testing.assert_allclose(nn.ReLU()(x).data, [0.0, 2.0])
-        np.testing.assert_allclose(nn.Tanh()(x).data, np.tanh([-1.0, 2.0]))
 
     def test_sequential_parameters_flow(self, rng):
         model = nn.Sequential(nn.Linear(4, 4, rng=rng), nn.Linear(4, 2, rng=rng))
@@ -138,15 +132,3 @@ class TestLosses:
             Tensor(rng.normal(size=(4, 3)), requires_grad=True), np.array([0, 1, 2, 0])
         )
         assert loss.size == 1
-
-    def test_mse(self):
-        loss = nn.MSELoss()(Tensor([1.0, 2.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 2.5)
-
-    def test_l1(self):
-        loss = nn.L1Loss()(Tensor([1.0, -2.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 1.5)
-
-    def test_mse_grad(self, rng):
-        pred = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        check_gradients(lambda: nn.MSELoss()(pred, np.zeros(3)), [pred])

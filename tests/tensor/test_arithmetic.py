@@ -31,23 +31,10 @@ class TestElementwise:
         np.testing.assert_allclose(a.grad, [4.0, 5.0])
         np.testing.assert_allclose(b.grad, [2.0, 3.0])
 
-    def test_div_grad(self, rng):
-        a = Tensor(rng.uniform(1, 2, size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(1, 2, size=(3, 4)), requires_grad=True)
-        check_gradients(lambda: (a / b).sum(), [a, b])
-
     def test_neg(self):
         a = Tensor([1.0, -2.0], requires_grad=True)
         (-a).sum().backward()
         np.testing.assert_allclose(a.grad, [-1.0, -1.0])
-
-    def test_pow_grad(self, rng):
-        a = Tensor(rng.uniform(0.5, 2.0, size=5), requires_grad=True)
-        check_gradients(lambda: (a ** 3).sum(), [a])
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            Tensor([1.0]) ** Tensor([2.0])
 
     def test_gradient_accumulates_across_uses(self):
         a = Tensor([2.0], requires_grad=True)
@@ -55,23 +42,9 @@ class TestElementwise:
         out.backward(np.array([1.0]))
         np.testing.assert_allclose(a.grad, [4.0])
 
-    def test_exp_log_roundtrip_grad(self, rng):
-        a = Tensor(rng.uniform(0.5, 2.0, size=(4,)), requires_grad=True)
-        check_gradients(lambda: a.exp().log().sum(), [a])
-
-    def test_tanh_sigmoid_relu_grads(self, rng):
-        for fn in ("tanh", "sigmoid", "relu"):
-            a = Tensor(rng.normal(size=(6,)) + 0.1, requires_grad=True)
-            check_gradients(lambda a=a, fn=fn: getattr(a, fn)().sum(), [a])
-
-    def test_abs_grad_away_from_zero(self):
-        a = Tensor([-2.0, 3.0], requires_grad=True)
-        a.abs().sum().backward()
-        np.testing.assert_allclose(a.grad, [-1.0, 1.0])
-
-    def test_sqrt(self):
-        a = Tensor([4.0, 9.0])
-        np.testing.assert_allclose(a.sqrt().data, [2.0, 3.0])
+    def test_relu_grad(self, rng):
+        a = Tensor(rng.normal(size=(6,)) + 0.1, requires_grad=True)
+        check_gradients(lambda: a.relu().sum(), [a])
 
 
 class TestBroadcasting:

@@ -1,9 +1,8 @@
-"""Reductions, reshaping, indexing, concat/stack: values and gradients."""
+"""Reductions, reshaping, indexing and constructors: values and gradients."""
 
 import numpy as np
-import pytest
 
-from repro.tensor import Tensor, check_gradients, concat, ones, stack, zeros
+from repro.tensor import Tensor, check_gradients, ones, zeros
 
 
 class TestReductions:
@@ -34,24 +33,6 @@ class TestReductions:
         a = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         np.testing.assert_allclose(a.mean(axis=1).data, a.data.mean(axis=1))
         check_gradients(lambda: a.mean(axis=1).sum(), [a])
-
-    def test_var_matches_numpy(self, rng):
-        a = Tensor(rng.normal(size=(6, 3)))
-        np.testing.assert_allclose(a.var(axis=0).data, a.data.var(axis=0), atol=1e-12)
-
-    def test_max_grad_routes_to_argmax(self):
-        a = Tensor([[1.0, 5.0, 2.0]], requires_grad=True)
-        a.max().backward()
-        np.testing.assert_allclose(a.grad, [[0.0, 1.0, 0.0]])
-
-    def test_max_tie_splits_gradient(self):
-        a = Tensor([2.0, 2.0], requires_grad=True)
-        a.max().backward()
-        np.testing.assert_allclose(a.grad, [0.5, 0.5])
-
-    def test_max_axis(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        np.testing.assert_allclose(a.max(axis=1).data, a.data.max(axis=1))
 
 
 class TestShapes:
@@ -86,39 +67,8 @@ class TestShapes:
         a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         check_gradients(lambda: a[1:4].sum(), [a])
 
-    def test_pad2d_roundtrip(self, rng):
-        a = Tensor(rng.normal(size=(1, 1, 3, 3)), requires_grad=True)
-        padded = a.pad2d(2)
-        assert padded.shape == (1, 1, 7, 7)
-        check_gradients(lambda: a.pad2d(2).sum(), [a])
 
-    def test_pad2d_zero_is_identity(self):
-        a = Tensor(np.ones((1, 1, 2, 2)))
-        assert a.pad2d(0) is a
-
-
-class TestConcatStack:
-    def test_concat_values(self):
-        out = concat([Tensor([1.0]), Tensor([2.0, 3.0])])
-        np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
-
-    def test_concat_grad(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        check_gradients(lambda: concat([a, b], axis=0).sum(), [a, b])
-
-    def test_concat_axis1_grad(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
-        check_gradients(lambda: concat([a, b], axis=1).sum(), [a, b])
-
-    def test_stack_grad(self, rng):
-        a = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        out = stack([a, b])
-        assert out.shape == (2, 3)
-        check_gradients(lambda: stack([a, b]).sum(), [a, b])
-
+class TestConstructors:
     def test_zeros_ones(self):
         assert zeros((2, 2)).data.sum() == 0.0
         assert ones((2, 2)).data.sum() == 4.0

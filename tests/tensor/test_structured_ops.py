@@ -1,4 +1,4 @@
-"""Convolution, pooling, batch norm, softmax/loss: references and gradients."""
+"""Convolution, pooling, batch norm, log-softmax/loss: references and gradients."""
 
 from contextlib import nullcontext
 
@@ -14,13 +14,11 @@ from repro.tensor import (
     col2im,
     conv2d,
     cross_entropy,
-    dropout,
     im2col,
     log_softmax,
     max_pool2d,
     nll_loss,
     no_grad,
-    softmax,
 )
 
 
@@ -78,8 +76,8 @@ def reference_max_pool(x, kernel, stride):
 def reference_batch_norm(x, gamma, beta, running_mean, running_var, training,
                          momentum=0.1, eps=1e-5):
     """Batch norm from ``x.var`` and fresh temporaries; returns new running stats."""
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    axes = (0, 2, 3)
+    shape = (1, -1, 1, 1)
     count = x.size // x.shape[1]
     running_mean, running_var = running_mean.copy(), running_var.copy()
     if training:
@@ -291,19 +289,13 @@ class TestBatchNorm:
             [x, gamma, beta],
         )
 
-    def test_2d_input(self, rng):
-        x = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
-        gamma, beta, mean, var = self._bn_args(4)
-        out = batch_norm(x, gamma, beta, mean, var, training=True)
-        assert out.shape == (10, 4)
-
     def test_3d_input_rejected(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)))
         gamma, beta, mean, var = self._bn_args(3)
         with pytest.raises(ValueError):
             batch_norm(x, gamma, beta, mean, var, training=True)
 
-    @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 3, 3)])
+    @pytest.mark.parametrize("shape", [(6, 4, 1, 1), (5, 4, 3, 3)])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("grad", [True, False])
     def test_bitwise_equal_to_reference(self, rng, shape, training, grad):
@@ -347,11 +339,6 @@ class TestSoftmaxLosses:
         weights = rng.normal(size=(3, 5))
         check_gradients(lambda: (log_softmax(x) * Tensor(weights)).sum(), [x])
 
-    def test_softmax_values(self, rng):
-        x = Tensor(rng.normal(size=(2, 3)))
-        expected = np.exp(x.data) / np.exp(x.data).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(softmax(x).data, expected, atol=1e-12)
-
     def test_cross_entropy_matches_manual(self, rng):
         logits = rng.normal(size=(4, 3))
         targets = np.array([0, 2, 1, 1])
@@ -374,27 +361,3 @@ class TestSoftmaxLosses:
         log_probs = Tensor(np.log(np.full((2, 4), 0.25)))
         loss = nll_loss(log_probs, np.array([0, 3]))
         np.testing.assert_allclose(loss.item(), np.log(4.0))
-
-
-class TestDropout:
-    def test_identity_in_eval(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert dropout(x, 0.5, rng, training=False) is x
-
-    def test_identity_at_zero_rate(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert dropout(x, 0.0, rng, training=True) is x
-
-    def test_scaling_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.5, rng, training=True)
-        assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_grad_masked(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = dropout(x, 0.5, rng, training=True)
-        out.sum().backward()
-        dropped = out.data == 0
-        assert (x.grad[dropped] == 0).all()
