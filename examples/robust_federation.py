@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Federated learning under real-world failure modes (§1.1).
+"""FedAvg over unreliable clients: dropout plus a round deadline.
 
-The paper scopes out "availability of the clients, corrupted updates by
-the clients" — this example shows the library handling them anyway:
+The paper scopes out "availability of the clients" (§1.1); the library
+models it with two config sections and no extra trainer:
 
-1. 20% of sampled clients drop out of every round,
-2. 20% of uploads are replaced with large Gaussian noise (a crashed or
-   Byzantine client),
-3. clients have heterogeneous compute budgets (1-5 local epochs),
-
-and compares a plain mean aggregator against the coordinate-wise median
-under identical faults.
+1. ``scenario`` — the ``availability`` sampler drops 20% of the invited
+   clients from every round,
+2. ``systems`` — a ``deadline`` round policy over a fleet of phones and
+   Raspberry Pis closes each round after 1 simulated second; a Pi misses
+   it, so its upload becomes a 0-weight straggler.
 
 Usage::
 
@@ -18,19 +16,16 @@ Usage::
 """
 
 from repro.federated import (
-    AvailabilityModel,
-    CorruptionModel,
     DataConfig,
+    Federation,
     FederationConfig,
     LocalTrainConfig,
-    RobustFedAvg,
-    StragglerModel,
-    make_clients,
+    SystemsConfig,
 )
-from repro.federated.builder import model_factory
+from repro.systems.report import total_stragglers
 
 
-def run(aggregation: str):
+def main() -> None:
     config = FederationConfig(
         dataset="mnist",
         algorithm="fedavg",
@@ -40,40 +35,27 @@ def run(aggregation: str):
         data=DataConfig(n_train=600, n_test=300),
         seed=6,
         local=LocalTrainConfig(epochs=3, batch_size=10),
+        scenario={
+            "sampler": "availability",
+            "dropout": 0.2,
+            "profiles": ["edge-phone", "raspberry-pi"],
+        },
+        systems=SystemsConfig(
+            round_policy="deadline",
+            deadline_seconds=1.0,
+            flops_per_example=1e6,
+            examples_per_round=100.0,
+        ),
     )
-    clients = make_clients(config)
-    trainer = RobustFedAvg(
-        clients=clients,
-        model_fn=model_factory(config),
-        rounds=config.rounds,
-        sample_fraction=config.sample_fraction,
-        seed=config.seed,
-        availability=AvailabilityModel(dropout_prob=0.2, seed=1),
-        corruption=CorruptionModel(rate=0.2, scale=10.0, seed=2),
-        stragglers=StragglerModel(config.num_clients, 1, 5, seed=3),
-        aggregation=aggregation,
-        # With ~7 participants, trim at least one update from each end
-        # (floor(0.2 * 7) = 1); smaller fractions trim nothing.
-        trim_fraction=0.2,
-    )
-    return trainer.run()
-
-
-def main() -> None:
-    print("Faults injected every round: 20% dropout, 20% corrupted uploads,")
-    print("heterogeneous 1-5 epoch budgets.\n")
-    for aggregation in ("mean", "median", "trimmed"):
-        history = run(aggregation)
-        participants = [len(record.sampled_clients) for record in history.rounds]
+    history = Federation.from_config(config).run()
+    for record in history.rounds:
         print(
-            f"aggregation={aggregation:>7}: final accuracy "
-            f"{history.final_accuracy:.1%} "
-            f"(participants per round: {participants})"
+            f"round {record.round_index}: participants {record.sampled_clients}, "
+            f"stragglers {record.stragglers}"
         )
-    print(
-        "\nThe plain mean lets a single corrupted upload poison the global "
-        "model; median/trimmed aggregation bound its influence."
-    )
+    print(f"stragglers in all rounds: {total_stragglers(history)}")
+    print(f"simulated time: {history.total_simulated_seconds:.2f} s")
+    print(f"final accuracy: {history.final_accuracy:.1%}")
 
 
 if __name__ == "__main__":

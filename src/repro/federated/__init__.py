@@ -96,14 +96,6 @@ from .compression import (
     register_compressor,
     unpack_state,
 )
-from .robust import (
-    AvailabilityModel,
-    CorruptionModel,
-    RobustFedAvg,
-    StragglerModel,
-    median_average,
-    trimmed_mean_average,
-)
 from .trainers.finetune import FedAvgFinetune
 from ..systems import (
     DEVICE_PROFILES,
@@ -197,13 +189,7 @@ __all__ = [
     "decode_state",
     "pack_state",
     "unpack_state",
-    "AvailabilityModel",
-    "CorruptionModel",
-    "StragglerModel",
-    "RobustFedAvg",
     "FedAvgFinetune",
-    "median_average",
-    "trimmed_mean_average",
     "DeviceProfile",
     "DEVICE_PROFILES",
     "Fleet",

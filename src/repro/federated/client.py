@@ -43,9 +43,13 @@ class LocalTrainConfig:
     mtl_lambda: float = 0.0  # MTL mean-regularization coefficient
 
     def __post_init__(self) -> None:
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("weight_decay", "prox_mu", "mtl_lambda"):
+        for name in ("momentum", "weight_decay", "prox_mu", "mtl_lambda"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -56,8 +60,7 @@ class LocalTrainResult:
 
     ``num_examples`` counts the examples *actually processed* this call
     (epochs × dataset passes), so FedAvg-style weighting charges a client
-    for the work it did: a straggler granted 0 epochs contributes weight 0
-    instead of its full dataset size behind a stale state.
+    for the work it did.
     """
 
     mean_loss: float

@@ -78,7 +78,7 @@ class ClientTask:
     load: str = "none"
     shared_names: Tuple[str, ...] = ()
     anchor_global: bool = False  # FedProx / MTL regularizer reference point
-    epochs: Optional[int] = None  # train: budget override; evaluate: fine-tune
+    epochs: Optional[int] = None  # evaluate: fine-tune epochs before measuring
     restore: bool = False  # evaluate: leave the client untouched afterwards
     # train: also report the client's sparsities and test accuracy after
     # the update (Sub-FedAvg's round record and Figure-1 trajectory)
@@ -294,7 +294,7 @@ def _run_train(
     _load(client, task, global_state)
     if task.anchor_global:
         client.set_anchor(global_state)
-    result = client.train_local(epochs=task.epochs)
+    result = client.train_local()
     update = ClientUpdate(
         client_index=task.client_index,
         client_id=client.client_id,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -22,17 +22,10 @@ class FedAvg(FederatedTrainer):
     client, so under pathological non-IID the reported accuracy exposes
     FedAvg's collapse (the paper's Remark-2).
 
-    ``stragglers`` optionally installs a
-    :class:`~repro.federated.robust.StragglerModel`: each client then runs
-    its own epoch budget per round instead of the configured count,
-    simulating system heterogeneity (partial local work).  Aggregation
-    weights count the examples a client actually processed this round, so
-    a straggler's stale state is discounted in proportion to the work it
-    skipped (and weighted zero if it did none).
-
-    With a fleet simulator attached, aggregation follows the round plan
-    instead: deadline stragglers weigh zero (their upload missed the
-    close), and under the async-buffer policy an in-flight client's
+    Aggregation weights count the examples a client actually processed
+    this round.  With a fleet simulator attached, aggregation follows the
+    round plan instead: deadline stragglers weigh zero (their upload
+    missed the close), and under the async-buffer policy an in-flight client's
     earlier update is aggregated when it finally *arrives*, discounted by
     its staleness weight.  The carried delivery replays the *state
     snapshot taken at upload time* — held here until the arrival lands —
@@ -44,27 +37,16 @@ class FedAvg(FederatedTrainer):
     algorithm_name = "fedavg"
     supports_round_plan = True
 
-    def __init__(self, *args, stragglers=None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.stragglers = stragglers
         # Upload-time (state, examples) snapshots of async in-flight
         # updates, consumed when the carried delivery finally arrives.
         self._held_updates: Dict[int, tuple] = {}
 
-    def _local_epochs(self, client_index: int) -> Optional[int]:
-        if self.stragglers is None:
-            return None  # fall back to the client's configured epochs
-        return self.stragglers.epochs_for(client_index)
-
     def _train_tasks(self, sampled: List[int]) -> List[ClientTask]:
         """Declarative description of one round's local work (overridable)."""
         return [
-            ClientTask(
-                client_index=index,
-                kind="train",
-                load="global",
-                epochs=self._local_epochs(index),
-            )
+            ClientTask(client_index=index, kind="train", load="global")
             for index in sampled
         ]
 
@@ -73,9 +55,8 @@ class FedAvg(FederatedTrainer):
         if plan is None:
             states = [update.state for update in updates]
             weights = [update.num_examples for update in updates]
-            # All-straggler corner: nobody processed an example, so there is
-            # no work to weight by — keep uniform weights instead of
-            # dividing by 0.
+            # Nobody processed an example, so there is no work to weight
+            # by — keep uniform weights instead of dividing by 0.
             self.global_state = fedavg_average(
                 states, weights if sum(weights) > 0 else None
             )
@@ -152,7 +133,6 @@ class FedProx(FedAvg):
                 kind="train",
                 load="global",
                 anchor_global=True,
-                epochs=self._local_epochs(index),
             )
             for index in sampled
         ]

@@ -11,13 +11,6 @@ from .structured import (
     reduction_report,
 )
 from .compact import compact_model, compaction_summary
-from .sparse import (
-    SparsePayload,
-    decode_state,
-    encode_state,
-    payload_bytes,
-    upload_size_bytes,
-)
 from .controller import (
     MaskSnapshot,
     PruneDecision,
@@ -45,9 +38,4 @@ __all__ = [
     "PruneDecision",
     "compact_model",
     "compaction_summary",
-    "SparsePayload",
-    "encode_state",
-    "decode_state",
-    "payload_bytes",
-    "upload_size_bytes",
 ]

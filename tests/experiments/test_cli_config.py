@@ -25,7 +25,6 @@ algorithms:
   sub-fedavg-un      Algorithm 1: Sub-FedAvg with unstructured pruning only. (config: unstructured)
   sub-fedavg-hy      Algorithm 2: hybrid — structured on convs, unstructured on FC layers. (config: unstructured, structured)
   fedavg-compressed  FedAvg whose uplink carries compressed *updates* instead of states. (config: compression)
-  robust-fedavg      FedAvg with dropout, fault injection and a robust aggregator.
 datasets:
   mnist              1x28x28, 10 classes — synthetic class-conditional images
   emnist             1x28x28, 26 classes — synthetic class-conditional images

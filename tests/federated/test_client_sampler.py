@@ -1,5 +1,7 @@
 """FederatedClient behaviour and client sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,24 @@ class TestLocalTraining:
         with pytest.raises(ValueError):
             LocalTrainConfig(epochs=0)
 
-    @pytest.mark.parametrize("field", ["weight_decay", "prox_mu", "mtl_lambda"])
-    def test_negative_coefficient_rejected(self, field):
-        with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -0\.5$"):
-            LocalTrainConfig(**{field: -0.5})
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("weight_decay", -0.5, ">= 0"),
+            ("prox_mu", -0.5, ">= 0"),
+            ("mtl_lambda", -0.5, ">= 0"),
+            ("momentum", -0.5, ">= 0"),
+            ("lr", 0.0, "> 0"),
+            ("lr", -1, "> 0"),
+            ("batch_size", 0, ">= 1"),
+        ],
+        ids=["weight_decay", "prox_mu", "mtl_lambda", "momentum", "lr=0", "lr=-1",
+             "batch_size"],
+    )
+    def test_negative_coefficient_rejected(self, field, value, rule):
+        message = re.escape(f"{field} must be {rule}, got {value}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LocalTrainConfig(**{field: value})
 
 
 class TestClientPruning:

@@ -266,36 +266,23 @@ class TestStragglerWeighting:
         assert result.num_examples == 3 * len(client.data.train)
 
     def test_zero_epoch_straggler_excluded_from_average(self):
-        class ZeroFirst:
-            """Straggler model granting client 0 no epochs at all."""
-
-            def epochs_for(self, client_index):
-                return 0 if client_index == 0 else 2
-
+        """FedAvg's unplanned average gives a zero-example update no weight."""
         from repro.federated.builder import make_clients, model_factory
         from repro.federated.trainers.fedavg import FedAvg
 
         config = small_config("fedavg", "serial", rounds=1, eval_every=0)
-        clients = make_clients(config)
-        trainer = FedAvg(
-            clients,
-            model_factory(config),
-            rounds=1,
-            sample_fraction=1.0,
-            seed=0,
-            stragglers=ZeroFirst(),
-        )
-        stale = clients[0].state_dict()
-        trainer._round(1, list(range(len(clients))))
-
-        # Recompute the expected average from the workers only.
-        worked = [clients[i] for i in range(1, len(clients))]
-        expected = np.mean(
-            [c.state_dict()["conv1.weight"] for c in worked], axis=0
-        )
-        # Uniform data sizes and epochs: average of the workers' states.
-        assert np.allclose(trainer.global_state["conv1.weight"], expected)
-        assert not np.allclose(trainer.global_state["conv1.weight"], stale["conv1.weight"])
+        trainer = FedAvg(make_clients(config), model_factory(config), rounds=1)
+        updates = [
+            ClientUpdate(
+                client_index=index,
+                client_id=index,
+                state={"w": np.full(3, value)},
+                num_examples=examples,
+            )
+            for index, (value, examples) in enumerate(((100.0, 0), (1.0, 40), (3.0, 40)))
+        ]
+        trainer._aggregate(updates)
+        assert np.allclose(trainer.global_state["w"], 2.0)
 
 
 class TestWireSchema:

@@ -117,6 +117,10 @@ class TestRegistration:
         TRAINERS.unregister("transient-algo")
         with pytest.raises(KeyError):
             FederationConfig(dataset="mnist", algorithm="transient-algo")
+        # a stored config naming the deleted robust-fedavg is refused alike
+        with pytest.raises(KeyError, match="'robust-fedavg'; choose from") as error:
+            FederationConfig.from_dict({"dataset": "mnist", "algorithm": "robust-fedavg"})
+        assert all(name in str(error.value) for name in TRAINERS)
 
 
 class TestBuilderDispatch:

@@ -169,7 +169,7 @@ class TestLiveRuns:
     def test_plan_unaware_trainers_refuse_non_sync_policies(self):
         """A policy the trainer cannot enforce must fail loudly, not
         silently misreport stragglers that were aggregated anyway."""
-        for algorithm in ("lg-fedavg", "mtl", "standalone", "robust-fedavg"):
+        for algorithm in ("lg-fedavg", "mtl", "standalone"):
             with pytest.raises(ValueError, match="round plan"):
                 Federation.from_config(
                     tiny_config(
